@@ -7,11 +7,12 @@ pure functions of the run parameters, a journal is a *cache*: resuming
 replays nothing that already completed, and a resumed run's merged output is
 byte-identical to an uninterrupted one.
 
-Resume refuses a journal whose manifest digest disagrees with the current
-run parameters — silently mixing shards computed under different worlds,
-seeds, or plans is exactly the corruption the digest exists to catch.  A
-torn final line (the process died mid-write) is tolerated and dropped;
-corruption anywhere else is an error.
+Resume refuses a journal written in another on-disk shape
+(:data:`JOURNAL_VERSION`), and one whose manifest digest disagrees with the
+current run parameters — silently mixing shards computed under different
+worlds, seeds, or plans is exactly the corruption the digest exists to
+catch.  A torn final line (the process died mid-write) is tolerated and
+dropped; corruption anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from typing import Optional, Union
 
 PathLike = Union[str, Path]
 
-#: Bump when the journal's on-disk shape changes incompatibly.
-JOURNAL_VERSION = 1
+#: Bump when the journal's on-disk shape changes incompatibly.  Version 2
+#: stores a traced shard's events as one canonical JSONL chunk (version 1
+#: stored a list of event dicts); resume refuses any other version.
+JOURNAL_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -165,6 +168,12 @@ class CheckpointJournal:
         if manifest is None:
             raise CheckpointMismatchError(
                 f"{self.path}: cannot resume — no checkpoint manifest found"
+            )
+        if manifest.version != JOURNAL_VERSION:
+            raise CheckpointMismatchError(
+                f"{self.path}: checkpoint journal version {manifest.version} "
+                f"cannot be resumed by this build (journal version "
+                f"{JOURNAL_VERSION}); restart the checkpoint"
             )
         if manifest.digest != digest:
             raise CheckpointMismatchError(

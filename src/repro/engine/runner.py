@@ -33,7 +33,7 @@ from repro.engine.metrics import ExperimentTally, ShardMetrics
 from repro.engine.retry import RetryPolicy
 from repro.engine.sharding import ShardSpec, derive_seed
 from repro.faults import KIND_STALE
-from repro.obs import OBS_OFF, OBS_TRACE, MetricsRegistry, TraceRecorder, registry_from_events
+from repro.obs import OBS_OFF, OBS_TRACE, MetricsRegistry, TraceRecorder, fold_rows
 from repro.resilience.taxonomy import classify_failure, describe_failure
 from repro.sim import World, WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
@@ -133,9 +133,9 @@ def run_shard(task: ShardTask) -> tuple[dict[str, Dataset], ShardMetrics, Option
     Returns ``(datasets, metrics, obs_payload)``; the observability payload
     is ``None`` when ``task.obs`` is ``off``, otherwise a JSON-able dict
     with the shard's merged metrics registry (and, at the ``trace`` level,
-    its full event list).  Because the recorder is clocked on the shard's
-    private simulated clock, the payload is a pure function of the task —
-    the same determinism contract the datasets honour.
+    its canonical JSONL chunk).  Because the recorder is clocked on the
+    shard's private simulated clock, the payload is a pure function of the
+    task — the same determinism contract the datasets honour.
     """
     world = build_world(task.config, task.countries)
     recorder: Optional[TraceRecorder] = None
@@ -206,19 +206,19 @@ def run_shard(task: ShardTask) -> tuple[dict[str, Dataset], ShardMetrics, Option
     metrics.traffic_gb = world.client.ledger.total_gb
     obs_payload = None
     if recorder is not None:
-        obs_payload = {
-            "metrics": shard_registry(task, metrics, recorder).to_dict(),
-        }
-        if task.obs == OBS_TRACE:
-            obs_payload["trace"] = [event.to_dict() for event in recorder.events]
+        registry = shard_registry(task, metrics)
+        trace_shard = task.spec.index if task.obs == OBS_TRACE else None
+        chunk = fold_rows(recorder.rows, registry, trace_shard)
+        obs_payload = {"metrics": registry.to_dict()}
+        if chunk is not None:
+            obs_payload["trace"] = chunk
     return datasets, metrics, obs_payload
 
 
-def shard_registry(
-    task: ShardTask, metrics: ShardMetrics, recorder: TraceRecorder
-) -> MetricsRegistry:
-    """One shard's metrics registry: engine tallies plus event-derived series.
+def shard_registry(task: ShardTask, metrics: ShardMetrics) -> MetricsRegistry:
+    """One shard's metrics registry from its engine tallies.
 
+    :func:`~repro.obs.trace.fold_rows` adds the event-derived series.
     Per-shard series carry a ``shard`` label so the run-level merge (sum for
     counters, max for gauges, bucket-add for histograms) never collides two
     shards' point samples.
@@ -258,7 +258,7 @@ def shard_registry(
         "engine_shard_traffic_gb", metrics.traffic_gb,
         help="simulated GB the shard's client moved", shard=task.spec.index,
     )
-    return registry_from_events(recorder.events, registry)
+    return registry
 
 
 def execute_shard(task: ShardTask) -> dict:

@@ -228,7 +228,7 @@ def shard_cache_key(task: ShardTask) -> str:
     the stored payload differs by observability level.
     """
     return stable_digest(
-        "shard-cache-v1",
+        "shard-cache-v2",  # v2: a traced shard's events are one JSONL chunk
         sorted(asdict(task.config).items()),
         task.countries,
         (task.spec.index, task.spec.count, task.spec.seed),

@@ -27,15 +27,10 @@ from repro.obs.exporters import (
     registry_from_trace,
     render_summary,
 )
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    SERVICE_BUCKETS,
-    MetricsRegistry,
-    registry_from_events,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, SERVICE_BUCKETS, MetricsRegistry
 from repro.obs.profiling import ProfilingChannel
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
-from repro.obs.trace import TraceLog, canonical_line
+from repro.obs.trace import TraceLog, encode_line, fold_rows
 
 #: Observability levels accepted by the engine's ``StudySpec.obs``.
 OBS_OFF = "off"
@@ -61,13 +56,13 @@ __all__ = [
     "SERVICE_BUCKETS",
     "TraceLog",
     "TraceRecorder",
-    "canonical_line",
     "chrome_trace",
     "chrome_trace_json",
+    "encode_line",
     "export_trace",
+    "fold_rows",
     "freeze_attrs",
     "parse_prometheus_text",
-    "registry_from_events",
     "registry_from_trace",
     "render_summary",
 ]

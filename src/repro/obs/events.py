@@ -1,4 +1,4 @@
-"""The observability plane's wire format: one frozen :class:`Event` record.
+"""The observability plane's record shapes: flat event rows and :class:`Event`.
 
 Events are the simulation's flight recorder.  Every timestamp is *simulated*
 time (the shard world's :class:`~repro.net.clock.SimClock`), every attribute
@@ -7,6 +7,16 @@ form of a trace is a pure function of the run's spec, byte-identical across
 worker counts, interleavings, and crash/resume histories.  Wall-clock
 annotations never appear here; they live in the digest-excluded profiling
 channel (:mod:`repro.obs.profiling`).
+
+A recorder stores each event as one flat **row** of atomic values::
+
+    (ts, name, kind, span, parent, actor, target, detail, key1, value1, ...)
+
+— the first :data:`ROW_FIELDS` positions are fixed, sorted attribute pairs
+follow flattened, and the event's ``seq`` is the row's position in its
+buffer.  Rows hold no containers, so CPython's cyclic collector untracks
+them and a long trace costs the collector nothing.  :class:`Event` is the
+readable view a row turns into on demand (figures, tests, interactive use).
 """
 
 from __future__ import annotations
@@ -23,12 +33,18 @@ KIND_END = "end"
 #: timeline steps under; the diagram is a filtered view over the bus.
 FIGURE_STEP = "figure.step"
 
+#: Fixed leading fields of a row; flattened attribute pairs follow them.
+ROW_FIELDS = 8
 
-def freeze_attrs(attrs: Optional[Mapping[str, object]]) -> tuple[tuple[str, str], ...]:
-    """Canonicalize an attribute mapping: sorted keys, string values."""
-    if not attrs:
-        return ()
-    return tuple((key, str(attrs[key])) for key in sorted(attrs))
+
+def freeze_attrs(attrs: Optional[Mapping[str, object]]) -> tuple[str, ...]:
+    """Canonicalize an attribute mapping into a row's tail: sorted keys,
+    string values, flattened to ``(key1, value1, key2, value2, ...)``."""
+    flat: tuple[str, ...] = ()
+    if attrs:
+        for key in sorted(attrs):
+            flat += (key, str(attrs[key]))
+    return flat
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,41 +76,12 @@ class Event:
                 return value
         return None
 
-    def to_dict(self) -> dict:
-        """JSON-able form; default-valued fields are omitted for compactness.
-
-        Omission is deterministic (a pure function of the field values), so
-        compact dicts are as digest-safe as exhaustive ones.
-        """
-        payload: dict = {"ts": self.ts, "seq": self.seq, "name": self.name}
-        if self.kind != KIND_INSTANT:
-            payload["kind"] = self.kind
-        if self.span:
-            payload["span"] = self.span
-        if self.parent:
-            payload["parent"] = self.parent
-        if self.actor:
-            payload["actor"] = self.actor
-        if self.target:
-            payload["target"] = self.target
-        if self.detail:
-            payload["detail"] = self.detail
-        if self.attrs:
-            payload["attrs"] = {key: value for key, value in self.attrs}
-        return payload
-
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "Event":
-        """Inverse of :meth:`to_dict`."""
+    def from_row(cls, seq: int, row: tuple) -> "Event":
+        """The view of the row at position ``seq`` of a recorder buffer."""
+        ts, name, kind, span, parent, actor, target, detail = row[:ROW_FIELDS]
+        flat = row[ROW_FIELDS:]
         return cls(
-            ts=float(payload["ts"]),
-            seq=int(payload["seq"]),
-            name=str(payload["name"]),
-            kind=str(payload.get("kind", KIND_INSTANT)),
-            span=int(payload.get("span", 0)),
-            parent=int(payload.get("parent", 0)),
-            actor=str(payload.get("actor", "")),
-            target=str(payload.get("target", "")),
-            detail=str(payload.get("detail", "")),
-            attrs=freeze_attrs(payload.get("attrs")),
+            ts, seq, name, kind, span, parent, actor, target, detail,
+            tuple(zip(flat[::2], flat[1::2])),
         )

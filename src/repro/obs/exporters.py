@@ -13,8 +13,8 @@ import json
 from typing import Mapping
 
 from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT
-from repro.obs.metrics import MetricsRegistry, registry_from_events
-from repro.obs.trace import TraceLog
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceLog, fold_rows
 
 #: Chrome trace-event phase codes by event kind.
 _PHASES = {KIND_BEGIN: "B", KIND_END: "E", KIND_INSTANT: "i"}
@@ -62,12 +62,13 @@ def chrome_trace_json(trace: TraceLog) -> str:
 def registry_from_trace(trace: TraceLog) -> MetricsRegistry:
     """Re-derive the ``obs_*`` metrics from an exported trace file.
 
-    Shards are processed in index order; span pairing happens within each
-    shard's stream, matching how the live per-shard registries were built.
+    Shards are processed in index order through :func:`fold_rows`, the
+    same pass that built the live per-shard registries, so span pairing
+    happens within each shard's stream.
     """
     registry = MetricsRegistry()
-    for _index, events in trace.shards:
-        registry_from_events(events, registry)
+    for _index, rows in trace.shard_rows():
+        fold_rows(rows, registry)
     return registry
 
 

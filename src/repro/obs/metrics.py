@@ -17,7 +17,8 @@ registries serialize byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional
+from bisect import bisect_left
+from typing import Iterable, Mapping, Optional, Sequence
 
 #: Default histogram boundaries, in simulated seconds.  Chosen for the
 #: simulation's dynamic range: one pacing tick (0.05 s) up to a monitoring
@@ -123,6 +124,22 @@ class MetricsRegistry:
         **labels: object,
     ) -> None:
         """Observe one value into a fixed-bucket histogram (merge: add)."""
+        self.observe_all(name, (value,), help=help, buckets=buckets, **labels)
+
+    def observe_all(
+        self,
+        name: str,
+        values: Sequence[float],
+        /,
+        help: str = "",
+        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
+        **labels: object,
+    ) -> None:
+        """Observe ``values``, in order, into one histogram sample.
+
+        The buckets are checked once for the whole batch; the sum accumulates
+        value by value, so a batch equals the same values observed singly.
+        """
         bounds = tuple(float(b) for b in buckets)
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError(f"histogram {name!r} buckets must strictly increase: {bounds}")
@@ -134,14 +151,13 @@ class MetricsRegistry:
             sample = [0] * (len(bounds) + 1) + [0, 0.0]
             family.samples[key] = sample
         assert isinstance(sample, list)
-        slot = len(bounds)
-        for index, bound in enumerate(bounds):
-            if value <= bound:
-                slot = index
-                break
-        sample[slot] += 1
-        sample[-2] += 1
-        sample[-1] = float(sample[-1]) + float(value)
+        total = float(sample[-1])
+        for value in values:
+            # The first bucket whose bound is >= value; len(bounds) = +Inf.
+            sample[bisect_left(bounds, value)] += 1
+            total += float(value)
+        sample[-2] += len(values)
+        sample[-1] = total
 
     # -- merge --------------------------------------------------------------
 
@@ -259,42 +275,3 @@ def _render_labels(key: LabelKey) -> str:
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         pairs.append(f'{name}="{escaped}"')
     return "{" + ",".join(pairs) + "}"
-
-
-def registry_from_events(events: Iterable, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Derive standard ``obs_*`` metrics from an event stream.
-
-    * ``obs_events_total{name=...}`` — every event, by name;
-    * ``obs_faults_total{kind=...}`` — fault injections, by taxonomy kind;
-    * ``obs_span_seconds{name=...}`` — span durations (simulated seconds),
-      paired by span id within the stream.
-
-    ``events`` may be :class:`~repro.obs.events.Event` records or their
-    ``to_dict`` forms.
-    """
-    from repro.obs.events import KIND_BEGIN, KIND_END, Event
-
-    registry = registry if registry is not None else MetricsRegistry()
-    open_spans: dict[int, float] = {}
-    for raw in events:
-        event = raw if isinstance(raw, Event) else Event.from_dict(raw)
-        registry.counter(
-            "obs_events_total", 1, help="events recorded, by name", name=event.name
-        )
-        if event.name == "fault.injected":
-            registry.counter(
-                "obs_faults_total", 1,
-                help="fault injections observed at instrumented seams",
-                kind=event.attr("kind") or "unknown",
-            )
-        if event.kind == KIND_BEGIN:
-            open_spans[event.span] = event.ts
-        elif event.kind == KIND_END:
-            started = open_spans.pop(event.span, None)
-            if started is not None:
-                registry.histogram(
-                    "obs_span_seconds", event.ts - started,
-                    help="span durations in simulated seconds",
-                    name=event.name,
-                )
-    return registry

@@ -2,8 +2,8 @@
 
 Two implementations share one duck type:
 
-* :class:`TraceRecorder` — appends :class:`~repro.obs.events.Event` records,
-  clocked on the simulated clock it was built with;
+* :class:`TraceRecorder` — appends one flat row per event (see
+  :mod:`repro.obs.events`), clocked on the simulated clock it was built with;
 * :class:`NullRecorder` — the permanently-off recorder installed on every
   :class:`~repro.fabric.Internet` by default.  Instrumented hot paths guard
   with ``if obs.enabled:`` so a disabled run pays one attribute read and a
@@ -105,29 +105,34 @@ class TraceRecorder:
     """An in-memory event bus clocked on simulated time.
 
     ``clock`` is anything with a ``now`` attribute in simulated seconds —
-    normally the world's :class:`~repro.net.clock.SimClock`.
+    normally the world's :class:`~repro.net.clock.SimClock`.  Events are
+    appended as flat rows (see :mod:`repro.obs.events`); :attr:`events`
+    builds the :class:`Event` views only when read.
     """
 
-    __slots__ = ("_clock", "_events", "_seq", "_next_span", "_stack")
+    __slots__ = ("_clock", "_rows", "_next_span", "_stack")
 
     enabled = True
 
     def __init__(self, clock) -> None:
         self._clock = clock
-        self._events: list[Event] = []
-        self._seq = 0
+        self._rows: list[tuple] = []
         self._next_span = 0
         self._stack: list[int] = []
 
     @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Every row recorded so far; a row's position is its ``seq``."""
+        return tuple(self._rows)
+
+    @property
     def events(self) -> tuple[Event, ...]:
         """Everything recorded so far, in emission order."""
-        return tuple(self._events)
+        return tuple(Event.from_row(seq, row) for seq, row in enumerate(self._rows))
 
     def clear(self) -> None:
         """Drop all events and reset counters (open spans are abandoned)."""
-        self._events.clear()
-        self._seq = 0
+        self._rows.clear()
         self._next_span = 0
         self._stack.clear()
 
@@ -141,22 +146,11 @@ class TraceRecorder:
         target: str,
         detail: str,
         attrs: Optional[Mapping[str, object]],
-    ) -> Event:
-        event = Event(
-            ts=self._clock.now,
-            seq=self._seq,
-            name=name,
-            kind=kind,
-            span=span,
-            parent=parent,
-            actor=actor,
-            target=target,
-            detail=detail,
-            attrs=freeze_attrs(attrs),
-        )
-        self._seq += 1
-        self._events.append(event)
-        return event
+    ) -> None:
+        row = (self._clock.now, name, kind, span, parent, actor, target, detail)
+        if attrs:
+            row += freeze_attrs(attrs)
+        self._rows.append(row)
 
     def event(
         self,
@@ -165,10 +159,10 @@ class TraceRecorder:
         target: str = "",
         detail: str = "",
         attrs: Optional[Mapping[str, object]] = None,
-    ) -> Event:
+    ) -> None:
         """Record an instant event inside the innermost open span (if any)."""
         parent = self._stack[-1] if self._stack else 0
-        return self._emit(name, KIND_INSTANT, 0, parent, actor, target, detail, attrs)
+        self._emit(name, KIND_INSTANT, 0, parent, actor, target, detail, attrs)
 
     def span(
         self,

@@ -17,6 +17,7 @@ from repro.engine import (
     StudySpec,
     run_study,
 )
+from repro.engine.checkpoint import JOURNAL_VERSION
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
 
@@ -165,6 +166,28 @@ class TestCrashResume:
                     world=coordinator_world,
                     analyses=False,
                 )
+
+    def test_resume_refuses_version_1_journal(
+        self, coordinator_world, uninterrupted, tmp_path
+    ):
+        # Same run, same digest, but the journal was written in the version-1
+        # shape (traced shards as event-dict lists): resuming must refuse it
+        # rather than read shard payloads in the wrong format.
+        _full, full_path = uninterrupted
+        lines = full_path.read_text().splitlines()
+        manifest = json.loads(lines[0])
+        assert manifest["version"] == JOURNAL_VERSION == 2
+        manifest["version"] = 1
+        old = tmp_path / "v1.jsonl"
+        old.write_text("\n".join([json.dumps(manifest, sort_keys=True)] + lines[1:]) + "\n")
+        with pytest.raises(CheckpointMismatchError, match="version 1"):
+            run_study(
+                checkpoint_spec(),
+                checkpoint=str(old),
+                resume=True,
+                world=coordinator_world,
+                analyses=False,
+            )
 
     def test_resume_requires_existing_manifest(self, coordinator_world, tmp_path):
         with pytest.raises(CheckpointMismatchError):

@@ -1,0 +1,212 @@
+"""Reference checks for the trace fast path: line encoder and metrics pass.
+
+The recorder stores flat rows and :func:`repro.obs.fold_rows` encodes them
+straight into canonical JSONL and derives the ``obs_*`` metrics in one
+pass.  Both are checked here against the straightforward forms they
+replace: ``json.dumps`` of each event's compact dict (the digest-bearing
+bytes), and the per-event metrics loop, copied below as the reference.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.engine.runner as runner
+from repro.engine.experiments import EXPERIMENT_ORDER
+from repro.engine.runner import ShardTask, run_shard, shard_registry
+from repro.engine.sharding import make_shard_specs, partition_plans
+from repro.engine.study import StudySpec, compute_plans
+from repro.obs import (
+    KIND_BEGIN,
+    KIND_END,
+    KIND_INSTANT,
+    Event,
+    MetricsRegistry,
+    TraceRecorder,
+    encode_line,
+    fold_rows,
+    freeze_attrs,
+)
+from repro.sim import WorldConfig, build_world
+from repro.sim.profiles import CountrySpec
+
+
+def reference_line(event, shard: int) -> str:
+    """``json.dumps`` of ``{"shard": i, **compact event dict}`` — the bytes
+    every trace line must equal (the compact dict omits default fields)."""
+    payload: dict = {"ts": event.ts, "seq": event.seq, "name": event.name}
+    if event.kind != KIND_INSTANT:
+        payload["kind"] = event.kind
+    if event.span:
+        payload["span"] = event.span
+    if event.parent:
+        payload["parent"] = event.parent
+    if event.actor:
+        payload["actor"] = event.actor
+    if event.target:
+        payload["target"] = event.target
+    if event.detail:
+        payload["detail"] = event.detail
+    if event.attrs:
+        payload["attrs"] = {key: value for key, value in event.attrs}
+    return json.dumps({"shard": shard, **payload}, sort_keys=True, separators=(",", ":"))
+
+
+def reference_registry_from_events(events, registry: MetricsRegistry) -> MetricsRegistry:
+    """The per-event derivation loop the one-pass fold replaces."""
+    open_spans: dict[int, float] = {}
+    for event in events:
+        registry.counter(
+            "obs_events_total", 1, help="events recorded, by name", name=event.name
+        )
+        if event.name == "fault.injected":
+            registry.counter(
+                "obs_faults_total", 1,
+                help="fault injections observed at instrumented seams",
+                kind=event.attr("kind") or "unknown",
+            )
+        if event.kind == KIND_BEGIN:
+            open_spans[event.span] = event.ts
+        elif event.kind == KIND_END:
+            started = open_spans.pop(event.span, None)
+            if started is not None:
+                registry.histogram(
+                    "obs_span_seconds", event.ts - started,
+                    help="span durations in simulated seconds",
+                    name=event.name,
+                )
+    return registry
+
+
+#: Text that exercises every escaping path: quotes, backslashes, control
+#: characters, non-ASCII and astral code points.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\t\b\f é中\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+_INTS = st.integers(min_value=0, max_value=2**63)
+_TS = st.one_of(
+    st.sampled_from([0.0, 0.1 + 0.2, 1e16, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _rows(draw):
+    row = (
+        draw(_TS),
+        draw(_TEXT),
+        draw(st.sampled_from([KIND_INSTANT, KIND_BEGIN, KIND_END])),
+        draw(_INTS),
+        draw(_INTS),
+        draw(_TEXT),
+        draw(_TEXT),
+        draw(_TEXT),
+    )
+    return row + freeze_attrs(draw(st.dictionaries(_TEXT, _TEXT, max_size=4)))
+
+
+class TestLineEncoder:
+    @settings(max_examples=400, deadline=None)
+    @given(row=_rows(), seq=_INTS, shard=_INTS)
+    def test_matches_json_dumps(self, row, seq, shard):
+        expected = reference_line(Event.from_row(seq, row), shard)
+        assert encode_line(row, seq, shard) == expected
+
+    @pytest.mark.parametrize("ts", [0.0, 0.1 + 0.2, 1e16, 5e-324, -0.0, math.inf, math.nan])
+    def test_timestamps(self, ts):
+        row = (ts, "x", KIND_INSTANT, 0, 0, "", "", "")
+        assert encode_line(row, 0, 0) == reference_line(Event.from_row(0, row), 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(_rows(), max_size=6), shard=_INTS)
+    def test_chunk_is_the_lines_in_seq_order(self, rows, shard):
+        chunk = fold_rows(rows, MetricsRegistry(), shard)
+        assert chunk == "".join(
+            reference_line(Event.from_row(seq, row), shard) + "\n"
+            for seq, row in enumerate(rows)
+        )
+
+
+CHAOS_CONFIG = WorldConfig(
+    scale=1.0,
+    seed=17,
+    include_rare_tail=False,
+    alexa_countries=2,
+    popular_sites_per_country=5,
+    university_sites=3,
+    fault_profile="chaos",
+    fault_seed=5,
+)
+CHAOS_COUNTRIES = (
+    CountrySpec(code="AA", population=220),
+    CountrySpec(code="BB", population=160),
+)
+
+
+@pytest.fixture(scope="module")
+def recorded_chaos_shard():
+    """Shard 0 of a traced two-shard chaos study, plus its live recorder."""
+    spec = StudySpec(
+        config=CHAOS_CONFIG, countries=CHAOS_COUNTRIES, seed=23, shards=2,
+        window=40, obs="trace",
+    )
+    plans = partition_plans(compute_plans(build_world(CHAOS_CONFIG, CHAOS_COUNTRIES), spec), 2)
+    shard_spec = make_shard_specs(spec.seed, spec.shards)[0]
+    task = ShardTask(
+        config=spec.config,
+        countries=spec.countries,
+        spec=shard_spec,
+        plans=tuple((name, plans[0][name]) for name in EXPERIMENT_ORDER),
+        retry=spec.retry,
+        validity=spec.validity,
+        obs=spec.obs,
+    )
+    recorders: list[TraceRecorder] = []
+
+    class CapturingRecorder(TraceRecorder):
+        __slots__ = ()
+
+        def __init__(self, clock) -> None:
+            super().__init__(clock)
+            recorders.append(self)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(runner, "TraceRecorder", CapturingRecorder)
+    try:
+        _datasets, metrics, payload = run_shard(task)
+    finally:
+        patch.undo()
+    (recorder,) = recorders
+    return task, metrics, payload, recorder.events
+
+
+class TestOnePassMetrics:
+    def test_shard_is_chaotic(self, recorded_chaos_shard):
+        _task, _metrics, _payload, events = recorded_chaos_shard
+        names = {event.name for event in events}
+        assert "fault.injected" in names
+        assert any(event.kind == KIND_END for event in events)
+
+    def test_snapshot_equals_per_event_loop(self, recorded_chaos_shard):
+        task, metrics, payload, events = recorded_chaos_shard
+        expected = reference_registry_from_events(events, shard_registry(task, metrics))
+        assert (
+            json.dumps(payload["metrics"], sort_keys=True, separators=(",", ":"))
+            == expected.snapshot_json()
+        )
+
+    def test_chunk_equals_per_event_encoding(self, recorded_chaos_shard):
+        task, _metrics, payload, events = recorded_chaos_shard
+        shard = task.spec.index
+        assert payload["trace"] == "".join(
+            reference_line(event, shard) + "\n" for event in events
+        )

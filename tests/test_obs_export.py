@@ -20,11 +20,13 @@ import pytest
 from repro.cli import main
 from repro.net.clock import SimClock
 from repro.obs import (
+    MetricsRegistry,
     TraceLog,
     TraceRecorder,
     chrome_trace,
     chrome_trace_json,
     export_trace,
+    fold_rows,
     registry_from_trace,
     render_summary,
 )
@@ -52,7 +54,7 @@ def build_fixture_trace() -> TraceLog:
                 clock.advance(0.4)
                 recorder.event("proxy.result", actor="superproxy", target="z1",
                                detail="ok", attrs={"status": 200})
-        payloads[shard] = [event.to_dict() for event in recorder.events]
+        payloads[shard] = fold_rows(recorder.rows, MetricsRegistry(), shard)
     return TraceLog.from_shard_payloads(payloads)
 
 
@@ -87,6 +89,13 @@ class TestGoldenFiles:
         reparsed = TraceLog.from_jsonl(trace.to_jsonl())
         assert reparsed == trace
         assert reparsed.digest() == trace.digest()
+
+    def test_parser_rejects_lines_out_of_seq_order(self):
+        # A row's seq is its position in the shard, so a trace with a
+        # dropped or reordered line cannot be re-encoded faithfully.
+        lines = build_fixture_trace().to_jsonl().splitlines(keepends=True)
+        with pytest.raises(ValueError, match="seq"):
+            TraceLog.from_jsonl("".join(lines[:2] + lines[3:]))
 
 
 class TestChromeTrace:

@@ -22,10 +22,14 @@ from repro.obs import (
     MetricsRegistry,
     NullRecorder,
     ProfilingChannel,
+    TraceLog,
     TraceRecorder,
+    encode_line,
+    fold_rows,
     freeze_attrs,
-    registry_from_events,
+    registry_from_trace,
 )
+from repro.obs.trace import row_from_record
 from repro.tracing import Timeline
 
 
@@ -36,13 +40,15 @@ class TestEvent:
             event.name = "y"
 
     def test_attrs_canonicalized(self):
-        assert freeze_attrs({"b": 2, "a": "one"}) == (("a", "one"), ("b", "2"))
+        assert freeze_attrs({"b": 2, "a": "one"}) == ("a", "one", "b", "2")
         assert freeze_attrs(None) == ()
         assert freeze_attrs({}) == ()
 
-    def test_to_dict_omits_defaults(self):
-        event = Event(ts=2.5, seq=3, name="dns.answer")
-        assert event.to_dict() == {"ts": 2.5, "seq": 3, "name": "dns.answer"}
+    def test_line_omits_defaults(self):
+        row = (2.5, "dns.answer", KIND_INSTANT, 0, 0, "", "", "")
+        assert json.loads(encode_line(row, 3, 0)) == {
+            "ts": 2.5, "seq": 3, "shard": 0, "name": "dns.answer",
+        }
 
     def test_roundtrip(self):
         event = Event(
@@ -50,8 +56,12 @@ class TestEvent:
             span=4, parent=2, actor="superproxy", target="z42",
             detail="http://a.aa/", attrs=(("status", "200"),),
         )
-        assert Event.from_dict(event.to_dict()) == event
-        assert Event.from_dict(json.loads(json.dumps(event.to_dict()))) == event
+        row = (7.25, "proxy.request", KIND_BEGIN, 4, 2, "superproxy", "z42",
+               "http://a.aa/", "status", "200")
+        assert Event.from_row(11, row) == event
+        record = json.loads(encode_line(row, 11, 0))
+        assert record["seq"] == 11
+        assert row_from_record(record) == row
 
     def test_attr_lookup(self):
         event = Event(ts=0.0, seq=0, name="f", attrs=(("kind", "stall"),))
@@ -232,7 +242,8 @@ class TestRegistryFromEvents:
             recorder.event("fault.injected", attrs={"kind": "stall"})
         recorder.event("fault.injected", attrs={"kind": "stall"})
 
-        registry = registry_from_events(recorder.events)
+        registry = MetricsRegistry()
+        assert fold_rows(recorder.rows, registry) is None
         payload = registry.to_dict()
         events_by_name = {
             tuple(s["labels"][0]): s["value"]
@@ -246,14 +257,16 @@ class TestRegistryFromEvents:
         hist = payload["obs_span_seconds"]["samples"][0]["value"]
         assert hist[-2] == 1 and hist[-1] == 0.5
 
-    def test_accepts_event_dicts(self):
-        recorder = TraceRecorder(SimClock())
-        recorder.event("x")
-        from_records = registry_from_events(recorder.events).snapshot_json()
-        from_dicts = registry_from_events(
-            [e.to_dict() for e in recorder.events]
-        ).snapshot_json()
-        assert from_records == from_dicts
+    def test_trace_file_derivation_matches_live_rows(self):
+        clock = SimClock()
+        recorder = TraceRecorder(clock)
+        with recorder.span("s"):
+            clock.advance(0.3)
+            recorder.event("fault.injected", attrs={"kind": "reset"})
+        live = MetricsRegistry()
+        chunk = fold_rows(recorder.rows, live, 0)
+        reparsed = TraceLog.from_jsonl(TraceLog.from_shard_payloads({0: chunk}).to_jsonl())
+        assert registry_from_trace(reparsed).snapshot_json() == live.snapshot_json()
 
 
 class TestProfilingChannel:
