@@ -6,7 +6,7 @@ Eight commands cover the full pipeline without writing any code:
 * ``run`` — run one (or all) of the paper's four experiments, print the
   corresponding tables, and optionally save the dataset as JSON Lines;
 * ``study`` — run the complete study on the sharded execution engine
-  (``--shards/--workers/--checkpoint/--resume``, plus ``--trace`` /
+  (``--shards/--workers/--checkpoint DIR/--resume``, plus ``--trace`` /
   ``--obs-metrics`` for the observability plane; see ``docs/engine.md``
   and ``docs/observability.md``);
 * ``serve`` — drain a JSON queue spec as a multi-tenant
@@ -258,6 +258,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     from repro.engine import StudySpec, resolve_workers, run_study
     from repro.obs import OBS_METRICS, OBS_OFF, OBS_TRACE
+    from repro.serve import SHARD_CACHE_DIR, DiskShardCache
+
+    shard_cache = None
+    if args.checkpoint:
+        checkpoint = pathlib.Path(args.checkpoint)
+        if checkpoint.exists() and not checkpoint.is_dir():
+            print(
+                f"study: --checkpoint {checkpoint} is a file, but checkpoints are "
+                f"now directories (completed shards live in DIR/{SHARD_CACHE_DIR}/); "
+                "pass a new directory",
+                file=sys.stderr,
+            )
+            return 2
+        cache_dir = checkpoint / SHARD_CACHE_DIR
+        if not args.resume and any(cache_dir.glob("*.json")):
+            print(
+                f"study: {cache_dir} already holds completed shards; pass "
+                "--resume to reuse them, or choose a new --checkpoint directory",
+                file=sys.stderr,
+            )
+            return 2
+        shard_cache = DiskShardCache(cache_dir)
 
     config = WorldConfig.from_env(
         scale=args.scale,
@@ -292,14 +314,14 @@ def _cmd_study(args: argparse.Namespace) -> int:
         flush=True,
     )
     started = time.perf_counter()
-    run = run_study(spec, checkpoint=args.checkpoint, resume=args.resume)
+    run = run_study(spec, shard_cache=shard_cache)
     elapsed = time.perf_counter() - started
     assert run.results is not None
     print(run.results.render_summary())
     report = run.report
     print(
         f"\nengine: {report.completed_shards}/{report.shard_count} shards "
-        f"({report.resumed_shards} resumed), "
+        f"({run.cached_shards} from checkpoint), "
         f"{sum(m.measured for m in report.shards):,} nodes measured, "
         f"{sum(m.retries for m in report.shards):,} retries, "
         f"{sum(m.failed for m in report.shards):,} failures in {elapsed:.1f}s"
@@ -711,12 +733,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(results are identical for any value; default 1)",
     )
     study.add_argument(
-        "--checkpoint", help="JSONL journal path for completed shards"
+        "--checkpoint", metavar="DIR",
+        help="directory that stores each completed shard, laid out like a "
+        "`serve --state-dir` (check it with `serve fsck --state-dir DIR`)",
     )
     study.add_argument(
         "--resume", action="store_true",
-        help="continue from the checkpoint (refused if its manifest digest "
-        "does not match this run's parameters)",
+        help="reuse the shards already stored under --checkpoint; only the "
+        "missing ones execute (required when the checkpoint is not empty)",
     )
     study.add_argument(
         "--study-seed", type=int, default=1000,
@@ -924,7 +948,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "study" and args.resume and not args.checkpoint:
+        parser.error("study --resume requires --checkpoint DIR")
     handlers = {
         "world-info": _cmd_world_info,
         "run": _cmd_run,

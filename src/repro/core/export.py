@@ -8,8 +8,8 @@ base64-encoded; record order is preserved.
 
 The per-dataset dict codecs (``*_dataset_to_dict`` / ``dataset_from_dict``)
 are the single source of truth for the wire shape: the JSONL files here, the
-execution engine's shard checkpoints, and its cross-process result transport
-all use them, so a dataset round-trips identically through any of the three.
+execution engine's shard cache, and its cross-process result transport all
+use them, so a dataset round-trips identically through any of the three.
 """
 
 from __future__ import annotations
@@ -346,7 +346,7 @@ def load_monitoring_dataset(path: PathLike) -> MonitoringDataset:
     return monitoring_dataset_from_dict({**header, "records": rows})
 
 
-# -- kind dispatch (engine checkpoints) ---------------------------------------
+# -- kind dispatch (engine shard cache) ---------------------------------------
 
 #: kind -> (dataset_to_dict, dataset_from_dict), for generic dispatch.
 DATASET_CODECS = {

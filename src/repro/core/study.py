@@ -153,8 +153,8 @@ def assemble_results(
     """Run every analysis over already-collected datasets.
 
     Shared by the legacy in-process path and the engine: however the
-    datasets were gathered (adaptive crawl, sharded plan execution, or a
-    checkpoint resume), the analysis stage is one code path.
+    datasets were gathered (adaptive crawl, sharded plan execution, or
+    shards served from a shard cache), the analysis stage is one code path.
     """
     thresholds = AnalysisThresholds.for_scale(world.config.scale)
     classification = classify_dns_servers(dns, world.routeviews, world.orgmap, thresholds)
@@ -180,8 +180,6 @@ def run_full_study(
     countries: Optional[tuple] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
     shard_cache: Optional[object] = None,
 ) -> StudyResults:
     """Run all four experiments and every analysis; return the bundle.
@@ -192,19 +190,14 @@ def run_full_study(
     profile universe) and is how compiled worldbuilder topologies flow
     through — it shapes the run digest, so it cannot combine with a
     pre-built ``world``.  Setting any of ``shards``/``workers``/
-    ``checkpoint``/``resume``/``shard_cache`` routes execution through the
-    sharded engine (:mod:`repro.engine`), which rebuilds worlds per shard
-    and therefore cannot accept a pre-built ``world``.  ``shard_cache`` is
-    a digest-keyed shard result cache (see :mod:`repro.serve.cache`);
-    cached shards are reused bit-for-bit instead of re-executed.
+    ``shard_cache`` routes execution through the sharded engine
+    (:mod:`repro.engine`), which rebuilds worlds per shard and therefore
+    cannot accept a pre-built ``world``.  ``shard_cache`` is a digest-keyed
+    shard result cache (see :mod:`repro.serve.cache`); cached shards are
+    reused bit-for-bit instead of re-executed, so a
+    :class:`~repro.serve.cache.DiskShardCache` doubles as a checkpoint.
     """
-    use_engine = (
-        shards is not None
-        or workers is not None
-        or checkpoint is not None
-        or resume
-        or shard_cache is not None
-    )
+    use_engine = shards is not None or workers is not None or shard_cache is not None
     if world is not None and countries is not None:
         raise ValueError(
             "countries shapes the world build (and the run digest); "
@@ -227,9 +220,7 @@ def run_full_study(
             shards=shards if shards is not None else 1,
             workers=workers if workers is not None else 1,
         )
-        run = run_study(
-            spec, checkpoint=checkpoint, resume=resume, shard_cache=shard_cache
-        )
+        run = run_study(spec, shard_cache=shard_cache)
         assert run.results is not None
         run.results.engine_report = run.report.to_dict()
         return run.results

@@ -1,22 +1,18 @@
-"""Sharded, checkpointable, fault-tolerant measurement execution engine.
+"""Sharded, resumable, fault-tolerant measurement execution engine.
 
 The legacy experiments crawl one world serially.  This package turns a
 study into deterministic *shards* — stable-hash partitions of the iteration
 plan, each executed against its own world replay with a derived seed — and
-schedules them onto serial or process-backed workers, journalling completed
-shards so an interrupted run resumes where it stopped.  Merged results are
-bit-identical regardless of worker count, interleaving, or resume history.
+schedules them onto serial or process-backed workers.  Completed shards
+live in one store, a digest-keyed :class:`ShardCache`: an interrupted run
+resumes by re-running against the same cache, and only the shards that
+never completed execute.  Merged results are bit-identical regardless of
+worker count, interleaving, or resume history.
 
 Entry points: :func:`run_study` (library), ``repro study`` (CLI), and
 :func:`repro.core.study.run_full_study` with engine keywords.
 """
 
-from repro.engine.checkpoint import (
-    CheckpointError,
-    CheckpointJournal,
-    CheckpointMismatchError,
-    RunManifest,
-)
 from repro.engine.executor import (
     Executor,
     ProcessExecutor,
@@ -56,15 +52,11 @@ from repro.engine.study import (
 )
 
 __all__ = [
-    "CheckpointError",
-    "CheckpointJournal",
-    "CheckpointMismatchError",
     "EngineRun",
     "Executor",
     "ExperimentTally",
     "ProcessExecutor",
     "RetryPolicy",
-    "RunManifest",
     "RunReport",
     "SerialExecutor",
     "ShardCache",

@@ -46,10 +46,9 @@ class ExperimentTally:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentTally":
-        """Inverse of :meth:`to_dict` (tolerates pre-validity journals)."""
+        """Inverse of :meth:`to_dict`."""
         data = dict(payload)
-        data.setdefault("invalid", 0)
-        data["failure_kinds"] = dict(data.get("failure_kinds", {}))
+        data["failure_kinds"] = dict(data["failure_kinds"])
         return cls(**data)
 
 
@@ -112,7 +111,7 @@ class ShardMetrics:
         return round(self.measured / (self.sim_seconds / 3600.0), 6)
 
     def to_dict(self) -> dict:
-        """JSON-able form (stored in checkpoint shard lines)."""
+        """JSON-able form (stored in shard-cache entries)."""
         return {
             "index": self.index,
             "sim_seconds": self.sim_seconds,
@@ -137,12 +136,12 @@ class ShardMetrics:
         return cls(
             index=payload["index"],
             sim_seconds=payload["sim_seconds"],
-            traffic_gb=payload.get("traffic_gb", 0.0),
+            traffic_gb=payload["traffic_gb"],
             experiments={
                 name: ExperimentTally.from_dict(tally)
                 for name, tally in payload["experiments"].items()
             },
-            quarantine=dict(payload.get("quarantine", {})),
+            quarantine=dict(payload["quarantine"]),
         )
 
 
@@ -153,8 +152,6 @@ class RunReport:
     shard_count: int
     worker_count: int
     shards: list[ShardMetrics] = field(default_factory=list)
-    #: How many shards were loaded from the checkpoint instead of executed.
-    resumed_shards: int = 0
     #: SHA-256 of the run's deterministic trace (obs ``trace`` level only);
     #: the same spec must yield the same digest for any worker count or
     #: crash/resume history.  ``None`` — and absent from :meth:`to_dict` —
@@ -179,7 +176,7 @@ class RunReport:
 
     @property
     def completed_shards(self) -> int:
-        """Shards with results (executed or resumed)."""
+        """Shards with results (executed or served from a shard cache)."""
         return len(self.shards)
 
     @property
@@ -197,7 +194,6 @@ class RunReport:
             "shard_count": self.shard_count,
             "worker_count": self.worker_count,
             "completed_shards": self.completed_shards,
-            "resumed_shards": self.resumed_shards,
             "progress": self.progress,
             "planned": sum(m.planned for m in ordered),
             "measured": sum(m.measured for m in ordered),

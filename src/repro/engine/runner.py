@@ -10,7 +10,9 @@ function of its task, and the executor that ran it is unobservable.
 
 :func:`execute_shard` is the module-level entry point handed to executors:
 it takes a picklable :class:`ShardTask` and returns a JSON-able dict, the
-common currency of process transport, checkpoint journals, and merging.
+common currency of process transport, the shard cache, and merging.
+:func:`execute_shard_live` is its cache-free twin, which leaves the
+datasets as objects because nothing will store them.
 """
 
 from __future__ import annotations
@@ -264,10 +266,10 @@ def shard_registry(task: ShardTask, metrics: ShardMetrics) -> MetricsRegistry:
 def execute_shard(task: ShardTask) -> dict:
     """Module-level executor entry point: JSON-able shard result.
 
-    The returned dict is exactly what the checkpoint journal stores, so a
-    resumed shard and a freshly executed one are indistinguishable.  The
-    ``obs`` key exists only when the task ran with observability on — an
-    ``off`` run's result is byte-identical to pre-obs builds.
+    The returned dict is exactly what a shard cache stores, so a shard
+    served from the cache and a freshly executed one are indistinguishable.
+    The ``obs`` key exists only when the task ran with observability on —
+    an ``off`` run's result is byte-identical to pre-obs builds.
     """
     datasets, metrics, obs_payload = run_shard(task)
     result = {
@@ -327,12 +329,12 @@ def execute_shard_contained(attempt: ShardAttempt) -> dict:
 def execute_shard_live(task: ShardTask) -> dict:
     """Like :func:`execute_shard`, but with live ``Dataset`` objects.
 
-    Journal-free runs never store shard results, so encoding millions of
+    Cache-free runs never store shard results, so encoding millions of
     records through the dict codec and immediately decoding them at the
     merge is pure overhead — at paper scale, tens of seconds of it.  This
     entry point keeps the same result shape with the datasets left as
-    objects; process workers pickle the dataclasses directly.  Checkpointed
-    runs must use :func:`execute_shard` — the journal stores JSON.
+    objects; process workers pickle the dataclasses directly.  Runs with a
+    shard cache must use :func:`execute_shard` — the cache stores JSON.
     """
     datasets, metrics, obs_payload = run_shard(task)
     result = {

@@ -39,7 +39,7 @@ def derive_seed(base: object, *parts: object) -> int:
     """A child seed derived from a base seed and a label path.
 
     Distinct label paths yield independent streams; the derivation is stable
-    text hashing, so it survives process boundaries and checkpoint resumes.
+    text hashing, so it survives process boundaries and crash resumes.
     """
     return int(stable_digest(base, *parts)[:16], 16)
 

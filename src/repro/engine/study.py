@@ -1,4 +1,4 @@
-"""The engine's front door: plan, shard, execute, checkpoint, merge, analyse.
+"""The engine's front door: plan, shard, execute, merge, analyse.
 
 A study run is four deterministic stages:
 
@@ -10,8 +10,10 @@ A study run is four deterministic stages:
    (:mod:`repro.engine.sharding`); each shard gets a derived seed.
 3. **Execute** — shards run on an :class:`~repro.engine.executor.Executor`
    (serial or process pool), each against a private world replay
-   (:mod:`repro.engine.runner`), journalling results as they complete
-   (:mod:`repro.engine.checkpoint`).
+   (:mod:`repro.engine.runner`).  With a :class:`ShardCache`, shards
+   already stored under their :func:`shard_cache_key` are served instead
+   of executed and each executed shard is stored as it completes — the
+   one mechanism behind both crash resume and incremental re-crawls.
 4. **Merge + analyse** — shard datasets concatenate in shard-index order
    (never completion order), then flow into the same analysis stage the
    legacy path uses.
@@ -32,7 +34,6 @@ from repro.core.crawler import DEFAULT_STOP_THRESHOLD, DEFAULT_WINDOW, CrawlCont
 from repro.core.export import dataset_from_dict, dataset_to_dict
 from repro.core.study import StudyResults, assemble_results
 from repro.core.validity import ValidityPolicy
-from repro.engine.checkpoint import CheckpointJournal, CheckpointMismatchError, RunManifest
 from repro.engine.executor import Executor, make_executor, resolve_workers
 from repro.engine.experiments import EXPERIMENT_ORDER, Dataset, empty_dataset
 from repro.engine.metrics import RunReport, ShardMetrics
@@ -123,10 +124,11 @@ class EngineRun:
     datasets: dict[str, Dataset]
     report: RunReport
     results: Optional[StudyResults] = None
-    #: Shards served from a :class:`ShardCache` instead of executing.  Like
-    #: ``workers``, reuse is unobservable in the run's outputs — the report
-    #: and datasets are byte-identical either way — so this count lives on
-    #: the run object only, never in :meth:`RunReport.to_dict`.
+    #: Shards served from a :class:`ShardCache` (a resumed checkpoint or a
+    #: warm re-crawl) instead of executing.  Like ``workers``, reuse is
+    #: unobservable in the run's outputs — the report and datasets are
+    #: byte-identical either way — so this count lives on the run object
+    #: only, never in :meth:`RunReport.to_dict`.
     cached_shards: int = 0
     #: Deterministic run trace, assembled in shard-index order
     #: (``spec.obs == "trace"`` only).
@@ -177,8 +179,8 @@ def compute_plans(world: World, spec: StudySpec) -> dict[str, tuple[str, ...]]:
 def run_digest(spec: StudySpec, plans: Mapping[str, tuple[str, ...]]) -> str:
     """The identity of a run: every parameter that shapes its output.
 
-    ``workers`` is deliberately excluded — a checkpoint written with four
-    workers is perfectly resumable with one, and vice versa.
+    ``workers`` is deliberately excluded — two runs that differ only in
+    worker count are the same run.
     """
     validity = spec.validity if spec.validity is not None else ValidityPolicy()
     return stable_digest(
@@ -220,12 +222,18 @@ def shard_cache_key(task: ShardTask) -> str:
 
     Unlike :func:`run_digest` — which fingerprints the *whole* run — this
     hashes only what the single shard's output depends on: the world config
-    (fault profile and seed included), the shard spec with its derived seed,
-    the shard's own plan slices, and the retry/validity policies.  Two runs
-    that disagree elsewhere (other shards' plans, analyses, journalling)
-    still share cache entries for the shards whose slice is unchanged —
-    that is what makes re-crawls incremental.  ``obs`` participates because
-    the stored payload differs by observability level.
+    (fault profile and seed included) and countries, the shard spec with
+    its derived seed and the shard count, the shard's own plan slices, and
+    the retry/validity policies.  ``obs`` participates because the stored
+    payload differs by observability level, and the ``shard-cache-v2`` tag
+    names the payload format.  So an entry written under different inputs
+    can only miss; it is never mixed into a run.
+
+    The granularity is the whole shard *task*: a change to the world
+    config, countries, fault seed, study seed or shard count dirties every
+    shard of a study.  Only a change confined to some plan slices (a longer
+    ``max_probes`` or ``window`` that extends a few shards' slices) is
+    served in part — the shards whose slices are unchanged still hit.
     """
     return stable_digest(
         "shard-cache-v2",  # v2: a traced shard's events are one JSONL chunk
@@ -242,9 +250,9 @@ def shard_cache_key(task: ShardTask) -> str:
 def merge_shard_results(results_by_index: Mapping[int, dict]) -> dict[str, Dataset]:
     """Concatenate shard datasets in shard-index order.
 
-    Shard payloads arrive either as codec dicts (checkpointed runs, whose
-    journal stores JSON) or as live ``Dataset`` objects (journal-free runs,
-    which skip the codec round-trip entirely).
+    Shard payloads arrive either as codec dicts (cached runs, whose store
+    holds JSON) or as live ``Dataset`` objects (cache-free runs, which skip
+    the codec round-trip entirely).
 
     Cross-shard header fields that cannot be summed (the §4 unique-resolver
     count) are recomputed over the merged records.
@@ -290,8 +298,6 @@ def dataset_summary(datasets: Mapping[str, Dataset]) -> str:
 def run_study(
     spec: StudySpec,
     *,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
     executor: Optional[Executor] = None,
     world: Optional[World] = None,
     analyses: bool = True,
@@ -305,10 +311,14 @@ def run_study(
     avoid rebuilding; it must match ``spec.config``/``spec.countries``).
     ``analyses=False`` skips the analysis stage and leaves
     :attr:`EngineRun.results` as ``None`` — raw-dataset comparisons don't
-    need tables.  ``shard_cache`` enables incremental execution: shards
-    whose :func:`shard_cache_key` is already cached are served bit-for-bit
-    from the cache and only the dirty remainder executes (the mechanism
-    behind ``repro serve`` re-crawls).
+    need tables.  ``shard_cache`` is the engine's one store for completed
+    shards: shards whose :func:`shard_cache_key` is already cached are
+    served bit-for-bit from the cache, only the remainder executes, and
+    every executed shard is stored as it completes.  That single mechanism
+    is both ``repro serve``'s re-crawl reuse and crash recovery — resuming
+    an interrupted run is re-running it against the same
+    :class:`~repro.serve.cache.DiskShardCache` (``repro study
+    --checkpoint DIR``).
 
     ``faults`` and ``shard_attempts`` enable **contained execution**: each
     shard runs through :func:`execute_shard_contained`, an injected or
@@ -335,54 +345,6 @@ def run_study(
     shard_specs = make_shard_specs(spec.seed, spec.shards)
     shard_plans = partition_plans(plans, spec.shards)
 
-    journal: Optional[CheckpointJournal] = None
-    completed: dict[int, dict] = {}
-    if checkpoint is not None:
-        journal = CheckpointJournal(checkpoint)
-        if resume:
-            manifest, completed = journal.verify_manifest(digest)
-            if manifest.world_manifest and manifest.world_manifest != world_sha:
-                # The run digest normally catches this first (it hashes the
-                # countries value), but the digest and the manifest resolve
-                # the world differently — refuse on either disagreement.
-                raise CheckpointMismatchError(
-                    f"checkpoint was written against world manifest "
-                    f"{manifest.world_manifest[:12]}…, but this run builds "
-                    f"{world_sha[:12]}…; refusing to mix measurements of "
-                    "different worlds"
-                )
-            journal.rewrite(manifest, completed)
-            if spec.obs != OBS_OFF:
-                # A trace must cover every shard or none: shards resumed from
-                # an observability-free journal would leave silent holes in a
-                # "deterministic" trace, so refuse the mix outright.
-                for index in sorted(completed):
-                    payload = completed[index].get("obs")
-                    if payload is None or (
-                        spec.obs == OBS_TRACE and "trace" not in payload
-                    ):
-                        raise CheckpointMismatchError(
-                            f"checkpoint shard {index} was journalled without "
-                            f"obs={spec.obs!r} data; rerun with the original "
-                            "observability level or restart the checkpoint"
-                        )
-            profile.note("checkpoint.resume", shards=len(completed))
-        else:
-            journal.start(
-                RunManifest(
-                    digest=digest,
-                    seed=spec.seed,
-                    shards=spec.shards,
-                    config=asdict(spec.config),
-                    plan_sizes={name: len(plans[name]) for name in EXPERIMENT_ORDER},
-                    retry=spec.retry.to_dict(),
-                    validity=spec.validity.to_dict() if spec.validity else {},
-                    world_manifest=world_sha,
-                )
-            )
-    elif resume:
-        raise ValueError("resume requires a checkpoint path")
-
     tasks = [
         ShardTask(
             config=spec.config,
@@ -399,17 +361,15 @@ def run_study(
             obs=spec.obs,
         )
         for shard_spec in shard_specs
-        if shard_spec.index not in completed
     ]
 
     report = RunReport(
         shard_count=spec.shards,
         worker_count=resolve_workers(spec.workers),
-        resumed_shards=len(completed),
         world_manifest=world_sha,
     )
+    completed: dict[int, dict] = {}
     cache_keys: dict[int, str] = {}
-    cached_count = 0
     if shard_cache is not None:
         remaining = []
         for task in tasks:
@@ -418,18 +378,15 @@ def run_study(
             if hit is None:
                 cache_keys[task.spec.index] = key
                 remaining.append(task)
-                continue
-            completed[task.spec.index] = hit
-            cached_count += 1
-            if journal is not None:
-                journal.append_shard(hit)
+            else:
+                completed[task.spec.index] = hit
         tasks = remaining
-        profile.note("cache.lookup", hits=cached_count, misses=len(tasks))
+        profile.note("cache.lookup", hits=len(completed), misses=len(tasks))
+    cached_count = len(completed)
     pool = executor if executor is not None else make_executor(spec.workers)
-    # Only a journal needs the JSON-able result form; everything else merges
-    # the shard's live datasets and skips the codec round-trip.  A cache
-    # also stores the JSON-able form, so it forces the codec path too.
-    use_codec = journal is not None or shard_cache is not None
+    # Only a cache needs the JSON-able result form; everything else merges
+    # the shard's live datasets and skips the codec round-trip.
+    use_codec = shard_cache is not None
     contained = faults is not None or shard_attempts > 1
     excluded: dict[int, dict] = {}
 
@@ -437,11 +394,6 @@ def run_study(
         completed[result["index"]] = result
         if shard_cache is not None:
             shard_cache.put(cache_keys[result["index"]], result)
-        if journal is not None:
-            journal.append_shard(result)
-            # Wall-clock, completion-order annotation: profiling channel
-            # only, never the deterministic trace.
-            profile.note("checkpoint.shard", shard=result["index"])
 
     with profile.section("execute"):
         if contained:

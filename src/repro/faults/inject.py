@@ -8,7 +8,7 @@ clock, raises, truncates), so this module stays free of clocks and network
 state and the ``repro lint`` FLT001 rule can hold it to a pure-hash diet.
 
 Failure taxonomy (surfaced in Luminati debug attempts, engine metrics, and
-checkpoint journal lines):
+shard-cache entries):
 
 * ``timeout``   — the attempt outlived its simulated-time budget;
 * ``truncated`` — a body or handshake arrived incomplete;

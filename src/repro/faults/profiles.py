@@ -3,7 +3,7 @@
 The paper's platform rode on end-user machines that churned, stalled, and
 truncated transfers mid-measurement (§3); a profile bundles per-seam fault
 rates into one picklable value that travels inside :class:`WorldConfig`, so
-the execution engine's shard tasks, run digest, and checkpoint manifest all
+the execution engine's shard tasks, run digest, and shard-cache keys all
 see it.
 
 ``none`` is the default and injects nothing — a world built under it is

@@ -47,8 +47,7 @@ DEFAULT_EXCLUDE: tuple[str, ...] = (
 DEFAULT_FLOW_SINKS: tuple[str, ...] = (
     "stable_digest",
     "run_digest",
-    "RunManifest",
-    "*.append_shard",
+    "encode_entry",
     "*.from_shard_payloads",
     "*.merge_all",
 )

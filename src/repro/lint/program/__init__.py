@@ -11,7 +11,7 @@ lint pass into a whole-program engine:
 * :mod:`repro.lint.program.callgraph` — the project-wide function index and
   call graph resolved over import maps.
 * :mod:`repro.lint.program.taint` — interprocedural taint analysis tracking
-  nondeterminism sources into digest/checkpoint/trace/metrics sinks
+  nondeterminism sources into digest/shard-cache/trace/metrics sinks
   (DET100–DET103), with full source→sink path traces.
 * :mod:`repro.lint.program.races` — static shard-race detection over the
   same call graph (RACE001/RACE002).

@@ -8,7 +8,7 @@ JSON-able record of everything the whole-program passes need:
 * every call site, carrying the *taint* of each argument — which
   nondeterminism sources, which project-function return values, and which
   enclosing-function parameters feed it;
-* every sink call site (run digests, checkpoint manifests, trace assembly,
+* every sink call site (run digests, shard-cache entries, trace assembly,
   merged metrics — see :data:`repro.lint.config.DEFAULT_FLOW_SINKS`);
 * module-level mutable state and the functions that mutate it;
 * worker-entrypoint evidence: project functions passed by name into

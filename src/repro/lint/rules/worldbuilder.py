@@ -1,12 +1,12 @@
 """WLD001 — the world builder composes topologies from keyed hashes only.
 
 A :mod:`repro.worldbuilder` spec is a *fingerprintable artifact*: its
-manifest SHA-256 rides run digests and checkpoint manifests, and CI pins
-the preset SHAs.  That contract only holds if compiling the same spec
-twice — on any host, in any process — yields the same bytes.  DET001/
-DET002 police calls repo-wide; inside the world builder the gate is
-stricter, in the style of SRV001: even *importing* ``time``/``datetime``
-or any entropy module (``random``, ``secrets``, ``uuid``) is a finding.
+manifest SHA-256 rides run metrics, and CI pins the preset SHAs.  That
+contract only holds if compiling the same spec twice — on any host, in any
+process — yields the same bytes.  DET001/DET002 police calls repo-wide;
+inside the world builder the gate is stricter, in the style of SRV001:
+even *importing* ``time``/``datetime`` or any entropy module (``random``,
+``secrets``, ``uuid``) is a finding.
 Binding tie-breaks come from :func:`~repro.worldbuilder.bindings.stable_rank`
 (a keyed hash of the binding key and draft identity); nothing in the
 package may consult the host for time or entropy.
@@ -38,8 +38,8 @@ class DeterministicWorldBuilder(Rule):
     title = "wall clock or ambient randomness in the world builder"
     rationale = (
         "A compiled world's manifest SHA-256 is its identity — it rides "
-        "run digests, checkpoint manifests, and CI pins.  The same spec "
-        "must therefore compile to the same bytes on every host and in "
+        "run metrics and CI pins.  The same spec must therefore compile "
+        "to the same bytes on every host and in "
         "every process, which dies the moment a binding tie-break or a "
         "manifest field comes from the wall clock or an RNG stream.  "
         "Selection order comes from stable_rank (a keyed hash); nothing "

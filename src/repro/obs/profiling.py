@@ -2,9 +2,9 @@
 
 Everything on the event bus is simulated time and participates in trace
 digests.  Operators still want to know how long the run *actually* took and
-when checkpoints landed; those annotations are wall-clock by nature and
-scheduling-dependent by nature (a checkpoint lands when its shard finishes,
-which depends on worker count).  They therefore live here, in a channel that
+how each stage spent it; those annotations are wall-clock by nature and
+scheduling-dependent by nature (a shard finishes when its worker gets to
+it, which depends on worker count).  They therefore live here, in a channel that
 is never merged into the deterministic trace and never digested.
 
 Lint rule ``OBS001`` enforces the boundary: wall-clock calls anywhere else
@@ -68,7 +68,7 @@ class ProfilingChannel:
         self._notes.append(note)
 
     def note(self, label: str, **fields: object) -> None:
-        """Record a point annotation (e.g. ``checkpoint.shard``)."""
+        """Record a point annotation (e.g. ``cache.lookup``)."""
         self._record(label, **fields)
 
     def section(self, label: str) -> _ProfileSection:

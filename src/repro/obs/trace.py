@@ -3,8 +3,8 @@
 At the end of a shard, :func:`fold_rows` makes a single pass over the
 recorder's rows: it derives the shard's ``obs_*`` metrics and encodes the
 rows into the shard's canonical JSONL chunk.  The chunk rides inside the
-shard's result (so the checkpoint journal, the shard cache and process
-workers carry it as one string), and the run-level :class:`TraceLog` keeps
+shard's result (so the shard cache and process workers carry it as one
+string), and the run-level :class:`TraceLog` keeps
 the chunks in **shard-index order** — never completion order.  Its JSONL
 serialization is therefore a pure function of the study spec, and
 :meth:`TraceLog.digest` (SHA-256 over those bytes, fed chunk by chunk) is

@@ -10,7 +10,8 @@ daemon around the engine without touching its determinism contract:
 * :class:`Recurrence` — cron-like recurring schedules on the simulated
   clock, jittered by keyed hashes;
 * :class:`DiskShardCache` / :class:`MemoryShardCache` — digest-keyed shard
-  result caches making re-crawls incremental (and crash recovery free);
+  result caches: verbatim re-crawls are served from cache, and crash
+  recovery (for the service and for ``repro study --checkpoint``) is free;
 * :class:`Service` — the loop: pump fires, pop fairly, execute, publish
   metrics, journal;
 * :mod:`~repro.serve.specfile` — JSON queue specs for ``repro serve``;
@@ -24,6 +25,7 @@ study raises must be contained into the ``repro.resilience`` taxonomy
 """
 
 from repro.serve.cache import (
+    SHARD_CACHE_DIR,
     CacheEntryError,
     DiskShardCache,
     MemoryShardCache,
@@ -63,6 +65,7 @@ __all__ = [
     "QuotaExceeded",
     "Recurrence",
     "SERVICE_JOURNAL_VERSION",
+    "SHARD_CACHE_DIR",
     "Service",
     "ServiceJournal",
     "ServiceJournalError",

@@ -1,19 +1,23 @@
-"""Digest-keyed incremental result caches for shard results.
+"""Digest-keyed result caches for shard results.
 
 Both implementations satisfy the engine's
 :class:`~repro.engine.study.ShardCache` protocol: ``get`` a JSON-able shard
 result by its :func:`~repro.engine.study.shard_cache_key`, ``put`` freshly
 executed ones.  Because the key covers everything the shard's output
 depends on, a hit is bit-for-bit equivalent to re-execution — a verbatim
-study re-submission is served entirely from cache, and a study whose world
-config, fault seed, or plan slice changed misses exactly where it is dirty.
+study re-submission is served entirely from cache.  The key is per shard
+task, so a change to the world config, fault seed, study seed or shard
+count dirties every shard of a study; only a change confined to some plan
+slices is served in part.
 
-:class:`DiskShardCache` doubles as the service's crash-recovery state:
-entries are written atomically (temp file + rename), so a process killed
-mid-queue leaves a valid cache and the re-run re-executes only what never
-completed.  No separate resume protocol is needed — re-running the same
-queue against the same cache directory *is* the resume, and it converges on
-byte-identical results because every replayed shard hits.
+:class:`DiskShardCache` is the engine's crash-recovery state, both for the
+service (``<state-dir>/shard-cache/``) and for ``repro study --checkpoint
+DIR`` (``DIR/shard-cache/``): entries are written atomically (temp file +
+rename), so a process killed mid-run leaves a valid cache and the re-run
+re-executes only what never completed.  No separate resume protocol is
+needed — re-running the same study against the same cache directory *is*
+the resume, and it converges on byte-identical results because every
+completed shard hits.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from typing import Optional, Union
 
 #: Bump when the on-disk entry envelope changes incompatibly.
 CACHE_ENVELOPE_VERSION = 1
+
+#: Subdirectory of a service state dir or a study checkpoint dir that holds
+#: the :class:`DiskShardCache` entries.
+SHARD_CACHE_DIR = "shard-cache"
 
 
 class CacheEntryError(ValueError):
@@ -44,15 +52,14 @@ def encode_entry(result: dict) -> str:
     a token boundary, or hand-edited — is detectable, not just one that
     fails to parse.  A poisoned shard entry silently feeding a study would
     violate the hit-equals-re-execution contract.
+
+    The payload is serialised once and spliced into the envelope: the
+    envelope's keys are already in sorted order, so the bytes equal the
+    canonical encoding of the envelope dict.
     """
     payload = _canonical(result)
-    return _canonical(
-        {
-            "payload": result,
-            "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-            "v": CACHE_ENVELOPE_VERSION,
-        }
-    )
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return f'{{"payload":{payload},"sha256":"{digest}","v":{CACHE_ENVELOPE_VERSION}}}'
 
 
 def decode_entry(text: str) -> dict:

@@ -2,7 +2,9 @@
 
 A service state directory accumulates three kinds of durable state: the
 append-only journal (``service.jsonl``), the digest-keyed disk shard cache
-(``shard-cache/*.json``), and the dead-letter queue (``dlq.jsonl``).  All
+(``shard-cache/*.json``), and the dead-letter queue (``dlq.jsonl``).  A
+``repro study --checkpoint DIR`` directory has the same layout with only
+the shard cache, so the same check validates a study checkpoint.  All
 three are crash-tolerant by construction — torn final lines are dropped on
 load, cache entries are written atomically and carry a payload SHA-256 —
 but an operator still wants a way to *ask* whether the state is healthy
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from repro.serve.cache import CacheEntryError, decode_entry
+from repro.serve.cache import SHARD_CACHE_DIR, CacheEntryError, decode_entry
 
 #: Severity labels used by :class:`Finding`.
 FSCK_OK = "ok"
@@ -170,6 +172,6 @@ def fsck_state_dir(
         root / "dlq.jsonl", report, repair=repair, label="dead-letter"
     )
     report.cache_entries = _check_cache(
-        root / "shard-cache", report, repair=repair
+        root / SHARD_CACHE_DIR, report, repair=repair
     )
     return report

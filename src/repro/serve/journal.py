@@ -1,17 +1,15 @@
 """Append-only JSONL audit journal of the service's completed studies.
 
-Unlike the engine's checkpoint journal — which *is* resume state — this
-journal is a ledger: one ``serve-manifest`` line per service run, one
-``study`` line per completed study (digest, dataset SHA, simulated
-submit/complete times, cache reuse).  Crash recovery never reads it; the
-:class:`~repro.serve.cache.DiskShardCache` alone makes a re-run
-incremental.  The journal exists so an operator can audit what a
+This journal is a ledger, not resume state: one ``serve-manifest`` line
+per service run, one ``study`` line per completed study (digest, dataset
+SHA, simulated submit/complete times, cache reuse).  Crash recovery never
+reads it; the :class:`~repro.serve.cache.DiskShardCache` alone makes a
+re-run resume.  The journal exists so an operator can audit what a
 long-running service measured, when (in simulated time), and whether two
 runs of the same queue agreed — the lines are canonical JSON, so equal
 histories are byte-equal.
 
-A torn final line (the process died mid-append) is dropped on load, same
-policy as the engine journal.
+A torn final line (the process died mid-append) is dropped on load.
 """
 
 from __future__ import annotations

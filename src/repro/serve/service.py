@@ -66,7 +66,7 @@ from repro.resilience import (
     describe_failure,
 )
 from repro.resilience.breaker import BREAKER_STATE_VALUES
-from repro.serve.cache import DiskShardCache, MemoryShardCache
+from repro.serve.cache import SHARD_CACHE_DIR, DiskShardCache, MemoryShardCache
 from repro.serve.journal import ServiceJournal
 from repro.serve.queue import QuotaExceeded, StudyQueue, Submission, TenantPolicy
 from repro.serve.schedule import Recurrence
@@ -270,7 +270,7 @@ class Service:
         self.state_dir = Path(state_dir) if state_dir is not None else None
         if cache is None:
             cache = (
-                DiskShardCache(self.state_dir / "shard-cache")
+                DiskShardCache(self.state_dir / SHARD_CACHE_DIR)
                 if self.state_dir is not None
                 else MemoryShardCache()
             )

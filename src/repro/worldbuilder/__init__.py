@@ -4,7 +4,7 @@ Compose a world as a stack of layers (countries/ISPs, resolver policies,
 planted middleboxes, node populations), compile it — with whole-spec
 validation — to the ``(WorldConfig, countries)`` pair the existing world
 builder consumes, and fingerprint it with a canonical-JSON manifest whose
-SHA-256 rides run metrics and checkpoint manifests.
+SHA-256 rides run metrics.
 
 See ``docs/worldbuilder.md`` for the guide and ``repro world`` for the
 CLI surface (``compile``/``validate``/``diff``/``presets``).

@@ -10,8 +10,8 @@ its SHA-256.
 Canonicalization: a composed universe that is *exactly* the default
 profile universe renders with ``countries=None``.  The run digest hashes
 the ``countries`` value itself, so this is what makes a faithfully
-recomposed paper world bit-identical — same digest, same checkpoints,
-same shard cache keys — to a world nobody ever declared.
+recomposed paper world bit-identical — same digest, same shard cache
+keys — to a world nobody ever declared.
 """
 
 from __future__ import annotations

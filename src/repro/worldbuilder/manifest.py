@@ -3,10 +3,12 @@
 A world is a pure function of ``(WorldConfig, countries)``; the manifest
 serializes that pair — with ``countries=None`` expanded to the default
 profile universe — as canonical JSON (sorted keys, fixed separators) and
-hashes it with SHA-256.  The SHA rides run metrics and checkpoint manifests
-the way ``fault_profile`` does: two runs agree on it exactly when they
-measured the same world, and resuming a checkpoint against a different
-manifest is refused (see :mod:`repro.engine.study`).
+hashes it with SHA-256.  The SHA rides run metrics the way
+``fault_profile`` does: two runs agree on it exactly when they measured the
+same world.  Resume needs no separate check: the shard-cache key
+(:func:`repro.engine.study.shard_cache_key`) hashes the same
+``(WorldConfig, countries)`` pair, so a checkpoint written against a
+different world can only miss.
 
 The function lives here, not in the compiler, because both sides need it:
 the engine stamps every run (legacy and compiled worlds alike), and the

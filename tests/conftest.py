@@ -5,13 +5,18 @@ class planted at high rates — fast to build and crawl, used by experiment
 tests that need planted-vs-measured comparisons.  ``small_world`` is the full
 profile universe at 1% scale, used by structural/integration tests.
 Session-scoped: experiments only append to logs and advance the clock, which
-the assertions tolerate.
+the assertions tolerate.  :func:`crash_checkpoint` rebuilds the shard cache
+a study killed mid-run leaves behind, for the crash/resume tests.
 """
 
 from __future__ import annotations
 
+import pathlib
+import shutil
+
 import pytest
 
+from repro.serve import DiskShardCache, decode_entry
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import (
     CountrySpec,
@@ -88,3 +93,26 @@ def fresh_tiny_world():
     """A function-scoped tiny world for tests that mutate global state."""
     config = WorldConfig(scale=1.0, seed=7, include_rare_tail=False, alexa_countries=3)
     return build_world(config, countries=tiny_country_specs())
+
+
+def crash_checkpoint(
+    complete: pathlib.Path, crashed: pathlib.Path, shards_done: int
+) -> DiskShardCache:
+    """The shard cache a study killed after ``shards_done`` shards leaves.
+
+    ``complete`` is the cache directory of an uninterrupted run.  The entries
+    of shards ``0 .. shards_done - 1`` are copied intact.  The next shard died
+    while it was being stored, so its entry is torn: truncated in place when
+    ``shards_done`` is even, and an orphaned ``*.json.tmp`` (a put killed
+    before its rename) when it is odd.
+    """
+    crashed.mkdir(parents=True)
+    for entry in sorted(complete.glob("*.json")):
+        text = entry.read_text(encoding="utf-8")
+        index = decode_entry(text)["index"]
+        if index < shards_done:
+            shutil.copy(entry, crashed / entry.name)
+        elif index == shards_done:
+            torn = entry.name if shards_done % 2 == 0 else f"{entry.name}.tmp"
+            (crashed / torn).write_text(text[: len(text) // 2], encoding="utf-8")
+    return DiskShardCache(crashed)

@@ -6,15 +6,18 @@ Three properties pin the fault plane down:
   shard split, and across crash/resume;
 * the ``none`` profile is inert — its output ignores ``fault_seed``
   entirely and matches a config that never mentions faults;
-* the fault profile and seed are part of a run's identity (digest), so a
-  checkpoint from a different chaos history is refused.
+* the fault profile and seed are part of a run's identity (digest); the
+  shard-cache key hashes them too, so a checkpoint from a different chaos
+  history can only miss (``tests/test_engine_checkpoint.py``).
 """
 
 import pytest
 
 from repro.engine import StudySpec, compute_plans, run_digest, run_study
+from repro.serve import SHARD_CACHE_DIR, DiskShardCache
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
+from tests.conftest import crash_checkpoint
 
 FAULT_COUNTRIES = (
     CountrySpec(code="AA", population=220),
@@ -52,11 +55,14 @@ def chaos_world():
 
 @pytest.fixture(scope="module")
 def chaos_one_worker(chaos_world, tmp_path_factory):
-    path = tmp_path_factory.mktemp("chaos") / "run.jsonl"
+    directory = tmp_path_factory.mktemp("chaos") / SHARD_CACHE_DIR
     run = run_study(
-        chaos_spec(3, 1), checkpoint=str(path), world=chaos_world, analyses=False
+        chaos_spec(3, 1),
+        shard_cache=DiskShardCache(directory),
+        world=chaos_world,
+        analyses=False,
     )
-    return run, path
+    return run, directory
 
 
 class TestChaosWorkerEquivalence:
@@ -90,50 +96,17 @@ class TestChaosCrashResume:
     def test_resume_after_crash_matches_uninterrupted(
         self, chaos_world, chaos_one_worker, tmp_path
     ):
-        full, full_path = chaos_one_worker
-        crashed = tmp_path / "crashed.jsonl"
-        lines = full_path.read_text().splitlines()
-        # Die after 1 of 3 shards, mid-append of the second.
-        crashed.write_text("\n".join(lines[:2]) + '\n{"kind": "shard", "ind')
-
+        full, directory = chaos_one_worker
+        # Die after 1 of 3 shards, mid-write of the second.
         resumed = run_study(
             chaos_spec(3, 1),
-            checkpoint=str(crashed),
-            resume=True,
+            shard_cache=crash_checkpoint(directory, tmp_path / "crashed", 1),
             world=chaos_world,
             analyses=False,
         )
-        assert resumed.report.resumed_shards == 1
+        assert resumed.cached_shards == 1
         assert resumed.dataset_summary() == full.dataset_summary()
-        assert resumed.report.to_dict()["failure_kinds"] == (
-            full.report.to_dict()["failure_kinds"]
-        )
-
-    def test_resume_refuses_different_fault_seed(
-        self, chaos_world, chaos_one_worker, tmp_path
-    ):
-        _, full_path = chaos_one_worker
-        copied = tmp_path / "copy.jsonl"
-        copied.write_text(full_path.read_text())
-        other_config = WorldConfig(fault_profile="chaos", fault_seed=6, **_BASE)
-        spec = StudySpec(
-            config=other_config,
-            countries=FAULT_COUNTRIES,
-            seed=23,
-            shards=3,
-            workers=1,
-            window=40,
-        )
-        from repro.engine import CheckpointMismatchError
-
-        with pytest.raises(CheckpointMismatchError):
-            run_study(
-                spec,
-                checkpoint=str(copied),
-                resume=True,
-                world=chaos_world,
-                analyses=False,
-            )
+        assert resumed.metrics_json() == full.metrics_json()
 
 
 class TestZeroFaultIdentity:

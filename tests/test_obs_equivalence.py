@@ -7,9 +7,11 @@ tracing on must not perturb the science (datasets, run digest, report).
 
 import pytest
 
-from repro.engine import CheckpointMismatchError, StudySpec, run_study
+from repro.engine import StudySpec, run_study
+from repro.serve import SHARD_CACHE_DIR, DiskShardCache
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
+from tests.conftest import crash_checkpoint
 
 OBS_COUNTRIES = (
     CountrySpec(code="AA", population=220),
@@ -47,11 +49,14 @@ def chaos_world():
 
 @pytest.fixture(scope="module")
 def traced_one_worker(chaos_world, tmp_path_factory):
-    path = tmp_path_factory.mktemp("obs") / "run.jsonl"
+    directory = tmp_path_factory.mktemp("obs") / SHARD_CACHE_DIR
     run = run_study(
-        traced_spec(1), checkpoint=str(path), world=chaos_world, analyses=False
+        traced_spec(1),
+        shard_cache=DiskShardCache(directory),
+        world=chaos_world,
+        analyses=False,
     )
-    return run, path
+    return run, directory
 
 
 @pytest.fixture(scope="module")
@@ -92,44 +97,31 @@ class TestCrashResume:
     def test_trace_identical_across_crash_resume(
         self, chaos_world, traced_one_worker, tmp_path
     ):
-        full, full_path = traced_one_worker
-        crashed = tmp_path / "crashed.jsonl"
-        lines = full_path.read_text().splitlines()
-        # Die after 1 of 3 shards, mid-append of the second.
-        crashed.write_text("\n".join(lines[:2]) + '\n{"kind": "shard", "ind')
-
-        resumed = run_study(
-            traced_spec(1),
-            checkpoint=str(crashed),
-            resume=True,
-            world=chaos_world,
-            analyses=False,
-        )
-        assert resumed.report.resumed_shards == 1
-        assert resumed.trace.to_jsonl() == full.trace.to_jsonl()
-        assert resumed.obs_metrics.snapshot_json() == full.obs_metrics.snapshot_json()
-        assert resumed.report.trace_digest == full.report.trace_digest
-
-    def test_resume_refuses_untraced_checkpoint(self, chaos_world, tmp_path):
-        # Journal a shard WITHOUT obs, then ask for a traced resume: the
-        # engine cannot synthesize the missing events and must refuse.
-        path = tmp_path / "untraced.jsonl"
-        run_study(
-            traced_spec(1, obs="off"),
-            checkpoint=str(path),
-            world=chaos_world,
-            analyses=False,
-        )
-        crashed = tmp_path / "crashed.jsonl"
-        crashed.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
-        with pytest.raises(CheckpointMismatchError):
-            run_study(
-                traced_spec(1),
-                checkpoint=str(crashed),
-                resume=True,
-                world=chaos_world,
-                analyses=False,
-            )
+        # Die after every possible number of completed shards, with the next
+        # shard's entry torn, and resume at one and at two workers.
+        full, directory = traced_one_worker
+        for workers in (1, 2):
+            for done in range(4):
+                resumed = run_study(
+                    traced_spec(workers),
+                    shard_cache=crash_checkpoint(
+                        directory, tmp_path / f"w{workers}-k{done}", done
+                    ),
+                    world=chaos_world,
+                    analyses=False,
+                )
+                assert resumed.cached_shards == done, (workers, done)
+                assert resumed.dataset_summary() == full.dataset_summary()
+                assert resumed.trace.to_jsonl() == full.trace.to_jsonl()
+                assert (
+                    resumed.obs_metrics.snapshot_json()
+                    == full.obs_metrics.snapshot_json()
+                )
+                report = resumed.report.to_dict()
+                assert report.pop("worker_count") == workers
+                expected = full.report.to_dict()
+                expected.pop("worker_count")
+                assert report == expected
 
 
 class TestTracingIsInert:

@@ -272,7 +272,7 @@ class TestRegistryFromEvents:
 class TestProfilingChannel:
     def test_disabled_channel_records_nothing(self):
         channel = ProfilingChannel(enabled=False)
-        channel.note("checkpoint.shard", shard=1)
+        channel.note("cache.lookup", hits=1)
         with channel.section("merge"):
             pass
         assert channel.notes == ()
@@ -280,12 +280,12 @@ class TestProfilingChannel:
 
     def test_enabled_channel_labels_sections(self):
         channel = ProfilingChannel()
-        channel.note("checkpoint.resume", shards=2)
+        channel.note("cache.lookup", hits=2)
         with channel.section("merge"):
             pass
         labels = [note["label"] for note in channel.notes]
-        assert labels == ["checkpoint.resume", "merge"]
-        assert channel.notes[0]["shards"] == 2
+        assert labels == ["cache.lookup", "merge"]
+        assert channel.notes[0]["hits"] == 2
         assert "wall_seconds" in channel.notes[1]
         assert channel.to_dict()["clock"] == "wall"
 

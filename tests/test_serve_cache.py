@@ -9,13 +9,17 @@ stored, even across processes and crashes).
 
 from __future__ import annotations
 
+import hashlib
 import json
 
-from repro.engine.runner import ShardTask
+import pytest
+
 from repro.engine.retry import RetryPolicy
+from repro.engine.runner import ShardTask
 from repro.engine.sharding import ShardSpec
 from repro.engine.study import shard_cache_key
-from repro.serve import DiskShardCache, MemoryShardCache
+from repro.serve import DiskShardCache, MemoryShardCache, decode_entry, encode_entry
+from repro.serve.cache import CACHE_ENVELOPE_VERSION
 from repro.sim import WorldConfig
 
 
@@ -114,3 +118,50 @@ class TestDiskShardCache:
         cache.put("k", {"z": 1, "a": [2, 3]})
         raw = (tmp_path / "cache" / "k.json").read_text(encoding="utf-8")
         assert raw == json.dumps(json.loads(raw), sort_keys=True, separators=(",", ":"))
+
+
+def reference_envelope(result: dict) -> str:
+    """The envelope built as a dict and canonically encoded as a whole."""
+    payload = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        {
+            "payload": result,
+            "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+            "v": CACHE_ENVELOPE_VERSION,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+ENVELOPE_PAYLOADS = {
+    "empty": {},
+    "shard-shaped": {
+        "kind": "shard",
+        "index": 2,
+        "datasets": {"dns": {"records": [{"zid": "z-aa-0", "ip": "10.0.0.1"}]}},
+        "metrics": {"sim_seconds": 12.5, "traffic_gb": 1e-09},
+        "obs": {"trace": '{"kind":"span","name":"shard.run"}\n{"seq":1}\n'},
+    },
+    "escape-heavy": {
+        "quote": '"',
+        "backslash": "\\",
+        "controls": "\n\t\r\b\f\x00\x1f\x7f",
+        "markup": "</script><!--",
+        'key "with" \\ escapes': ["\u2028\u2029"],
+    },
+    "non-ascii": {
+        "city": "Zürich",
+        "mixed": "東京 ✓ 😀",
+        "ключ": ["é", {"ß": None}],
+    },
+    "numbers": {"floats": [0.1, 1e-300, -0.0, 1e21, 2.5e-07], "ints": [0, -1, 2**63]},
+}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("name", sorted(ENVELOPE_PAYLOADS))
+    def test_spliced_envelope_matches_the_dict_encoding(self, name):
+        result = ENVELOPE_PAYLOADS[name]
+        assert encode_entry(result) == reference_envelope(result)
+        assert decode_entry(encode_entry(result)) == result

@@ -8,8 +8,8 @@ Three contracts anchor this file:
 * every planted middlebox's expected §4–§7 finding is rediscovered by a
   small-scale study with **zero false rows** (the sterile presets plant
   everything there is to find);
-* a compiled world's manifest SHA-256 rides run metrics and checkpoint
-  manifests, and resume refuses to mix measurements of different worlds.
+* a compiled world's manifest SHA-256 rides run metrics, and a compiled
+  world resumes from its own checkpoint (a shard cache) like any other.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core import export
 from repro.core.analysis import table4_isp_dns, table7_image_compression, table_http_proxies
 from repro.core.attribution import classify_dns_servers
 from repro.core.study import run_full_study
-from repro.engine import CheckpointJournal, CheckpointMismatchError
+from repro.serve import SHARD_CACHE_DIR, DiskShardCache
 from repro.sim import WorldConfig, build_world
 from repro.sim.world import default_country_universe
 from repro.worldbuilder import (
@@ -367,66 +367,30 @@ class TestPaperFaithfulDigestEquivalence:
 
 
 class TestWorldManifestThreading:
-    """The manifest SHA rides run metrics and checkpoints; resume checks it."""
+    """The manifest SHA rides run metrics; compiled worlds resume from a checkpoint."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         compiled = compile_spec(tiny_spec())
-        path = tmp_path_factory.mktemp("wb") / "run.jsonl"
-        results = compiled.run_study(seed=21, shards=2, checkpoint=str(path))
-        return compiled, results, path
+        directory = tmp_path_factory.mktemp("wb") / SHARD_CACHE_DIR
+        results = compiled.run_study(
+            seed=21, shards=2, shard_cache=DiskShardCache(directory)
+        )
+        return compiled, results, directory
 
     def test_report_records_the_manifest_sha(self, run):
-        compiled, results, _path = run
+        compiled, results, _directory = run
         assert results.engine_report["world_manifest"] == compiled.manifest_sha
 
-    def test_checkpoint_manifest_records_the_sha(self, run):
-        compiled, _results, path = run
-        manifest, completed = CheckpointJournal(path).load()
-        assert manifest.world_manifest == compiled.manifest_sha
-        assert len(completed) == 2
-        # And it round-trips through the journal's dict codec.
-        assert (
-            type(manifest).from_dict(manifest.to_dict()).world_manifest
-            == compiled.manifest_sha
-        )
-
     def test_resume_with_matching_world_succeeds(self, run):
-        compiled, results, path = run
-        resumed = compiled.run_study(
-            seed=21, shards=2, checkpoint=str(path), resume=True
-        )
-        assert resumed.engine_report["resumed_shards"] == 2
+        compiled, results, directory = run
+        cache = DiskShardCache(directory)
+        resumed = compiled.run_study(seed=21, shards=2, shard_cache=cache)
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+        assert resumed.engine_report == results.engine_report
         assert export.dns_dataset_to_dict(resumed.dns) == export.dns_dataset_to_dict(
             results.dns
         )
-
-    def test_resume_against_a_different_world_is_refused(self, run, tmp_path):
-        compiled, _results, path = run
-        journal = CheckpointJournal(path)
-        manifest, completed = journal.load()
-        tampered_path = tmp_path / "tampered.jsonl"
-        tampered = CheckpointJournal(tampered_path)
-        manifest.world_manifest = "f" * 64
-        tampered.rewrite(manifest, completed)
-        with pytest.raises(CheckpointMismatchError, match="world manifest"):
-            compiled.run_study(
-                seed=21, shards=2, checkpoint=str(tampered_path), resume=True
-            )
-
-    def test_pre_field_journals_still_resume(self, run, tmp_path):
-        # Journals written before world_manifest existed carry an empty
-        # field; resume must accept them (nothing to compare against).
-        compiled, _results, path = run
-        journal = CheckpointJournal(path)
-        manifest, completed = journal.load()
-        legacy_path = tmp_path / "legacy.jsonl"
-        manifest.world_manifest = ""
-        CheckpointJournal(legacy_path).rewrite(manifest, completed)
-        resumed = compiled.run_study(
-            seed=21, shards=2, checkpoint=str(legacy_path), resume=True
-        )
-        assert resumed.engine_report["resumed_shards"] == 2
 
 
 class TestCensoredRegionRediscovery:
