@@ -6,10 +6,17 @@ equivalent for the reproduction: every experiment dataset can be written to
 rebuilding the world.  Binary payloads (hijack pages, modified bodies) are
 base64-encoded; record order is preserved.
 
-The per-dataset dict codecs (``*_dataset_to_dict`` / ``dataset_from_dict``)
-are the single source of truth for the wire shape: the JSONL files here, the
-execution engine's shard cache, and its cross-process result transport all
-use them, so a dataset round-trips identically through any of the three.
+The per-record row codecs (``*_record_to_row`` / ``*_record_from_row``) are
+the single source of truth for the wire shape.  Two forms are built on
+them.  The dict form (``dataset_to_dict`` / ``dataset_from_dict``) is what
+the JSONL files here hold.  The line form (:func:`dataset_to_lines` /
+:func:`dataset_from_lines`) is what the execution engine's shard cache
+stores and its workers ship back: the dataset's header fields, plus each
+record once as its canonical JSON line with its zID beside it.  A canonical
+line is exactly the bytes ``json.dumps(row, sort_keys=True,
+separators=(",", ":"))`` gives for the record's row, so a run summary can
+splice stored lines instead of re-encoding records, and a dataset
+round-trips identically through either form.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import base64
 import json
 import pathlib
-from typing import Iterable, Union
+from typing import Any, Callable, Iterable, Union
 
 from repro.core.experiments.dns_hijack import DnsDataset, DnsProbeRecord
 from repro.core.experiments.http_mod import HttpDataset, HttpProbeRecord
@@ -97,13 +104,19 @@ def dns_record_from_row(row: dict) -> DnsProbeRecord:
     )
 
 
-def dns_dataset_to_dict(dataset: DnsDataset) -> dict:
-    """A §4 dataset as one JSON-able dict (header + records)."""
+def _dns_header(dataset: DnsDataset) -> dict:
     return {
         "kind": "dns",
         "filtered_google_overlap": dataset.filtered_google_overlap,
         "probes": dataset.probes,
         "unique_dns_servers": dataset.unique_dns_servers,
+    }
+
+
+def dns_dataset_to_dict(dataset: DnsDataset) -> dict:
+    """A §4 dataset as one JSON-able dict (header + records)."""
+    return {
+        **_dns_header(dataset),
         "records": [dns_record_to_row(r) for r in dataset.records],
     }
 
@@ -165,12 +178,18 @@ def http_record_from_row(row: dict) -> HttpProbeRecord:
     )
 
 
-def http_dataset_to_dict(dataset: HttpDataset) -> dict:
-    """A §5 dataset as one JSON-able dict (header + records)."""
+def _http_header(dataset: HttpDataset) -> dict:
     return {
         "kind": "http",
         "probes": dataset.probes,
         "flagged_ases": sorted(dataset.flagged_ases),
+    }
+
+
+def http_dataset_to_dict(dataset: HttpDataset) -> dict:
+    """A §5 dataset as one JSON-able dict (header + records)."""
+    return {
+        **_http_header(dataset),
         "records": [http_record_to_row(r) for r in dataset.records],
     }
 
@@ -248,11 +267,14 @@ def https_record_from_row(row: dict) -> HttpsProbeRecord:
     )
 
 
+def _https_header(dataset: HttpsDataset) -> dict:
+    return {"kind": "https", "probes": dataset.probes}
+
+
 def https_dataset_to_dict(dataset: HttpsDataset) -> dict:
     """A §6 dataset as one JSON-able dict (header + records)."""
     return {
-        "kind": "https",
-        "probes": dataset.probes,
+        **_https_header(dataset),
         "records": [https_record_to_row(r) for r in dataset.records],
     }
 
@@ -317,11 +339,14 @@ def monitoring_record_from_row(row: dict) -> MonitorProbeRecord:
     )
 
 
+def _monitoring_header(dataset: MonitoringDataset) -> dict:
+    return {"kind": "monitoring", "probes": dataset.probes}
+
+
 def monitoring_dataset_to_dict(dataset: MonitoringDataset) -> dict:
     """A §7 dataset as one JSON-able dict (header + records)."""
     return {
-        "kind": "monitoring",
-        "probes": dataset.probes,
+        **_monitoring_header(dataset),
         "records": [monitoring_record_to_row(r) for r in dataset.records],
     }
 
@@ -346,7 +371,7 @@ def load_monitoring_dataset(path: PathLike) -> MonitoringDataset:
     return monitoring_dataset_from_dict({**header, "records": rows})
 
 
-# -- kind dispatch (engine shard cache) ---------------------------------------
+# -- kind dispatch ------------------------------------------------------------
 
 #: kind -> (dataset_to_dict, dataset_from_dict), for generic dispatch.
 DATASET_CODECS = {
@@ -356,13 +381,25 @@ DATASET_CODECS = {
     "monitoring": (monitoring_dataset_to_dict, monitoring_dataset_from_dict),
 }
 
+#: kind -> (dataset type, header fields, record_to_row).
+_KINDS: dict[str, tuple[type, Callable[[Any], dict], Callable[[Any], dict]]] = {
+    "dns": (DnsDataset, _dns_header, dns_record_to_row),
+    "http": (HttpDataset, _http_header, http_record_to_row),
+    "https": (HttpsDataset, _https_header, https_record_to_row),
+    "monitoring": (MonitoringDataset, _monitoring_header, monitoring_record_to_row),
+}
+
+
+def _kind_of(dataset: Dataset) -> str:
+    for kind, (dataset_type, _header, _to_row) in _KINDS.items():
+        if isinstance(dataset, dataset_type):
+            return kind
+    raise TypeError(f"not an experiment dataset: {type(dataset)!r}")
+
 
 def dataset_to_dict(dataset: Dataset) -> dict:
     """Serialize any experiment dataset to its JSON-able dict form."""
-    for kind, (encode, _decode_fn) in DATASET_CODECS.items():
-        if isinstance(dataset, _DATASET_TYPES[kind]):
-            return encode(dataset)  # type: ignore[arg-type]
-    raise TypeError(f"not an experiment dataset: {type(dataset)!r}")
+    return DATASET_CODECS[_kind_of(dataset)][0](dataset)  # type: ignore[arg-type]
 
 
 def dataset_from_dict(payload: dict) -> Dataset:
@@ -373,9 +410,39 @@ def dataset_from_dict(payload: dict) -> Dataset:
     return DATASET_CODECS[kind][1](payload)
 
 
-_DATASET_TYPES = {
-    "dns": DnsDataset,
-    "http": HttpDataset,
-    "https": HttpsDataset,
-    "monitoring": MonitoringDataset,
-}
+# -- line form (engine shard cache) --------------------------------------------
+
+#: The one encoder behind every canonical line: sorted keys, compact
+#: separators, and the default ``ensure_ascii``/``allow_nan``, so a line is
+#: the bytes ``json.dumps(row, sort_keys=True, separators=(",", ":"))``
+#: gives, without building an encoder per record.
+LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def dataset_to_lines(dataset: Dataset) -> dict:
+    """A dataset in line form, JSON-able.
+
+    ``{"header": …, "zids": […], "lines": […]}``: ``header`` is the dict
+    form without its records, and each record appears once, as its
+    canonical line (see :data:`LINE_ENCODER`) in record order, with its zID
+    at the same position in ``zids``.  A §4 dataset also carries
+    ``resolvers``, its sorted distinct resolver IPs, so merged shards can
+    count unique resolvers without parsing a line.
+    """
+    _type, header, to_row = _KINDS[_kind_of(dataset)]
+    encode = LINE_ENCODER.encode
+    records = dataset.records
+    payload: dict = {
+        "header": header(dataset),
+        "zids": [record.zid for record in records],
+        "lines": [encode(to_row(record)) for record in records],
+    }
+    if isinstance(dataset, DnsDataset):
+        payload["resolvers"] = sorted({record.dns_server_ip for record in dataset.records})
+    return payload
+
+
+def dataset_from_lines(payload: dict) -> Dataset:
+    """Inverse of :func:`dataset_to_lines`: decode every line, in order."""
+    rows = json.loads("[" + ",".join(payload["lines"]) + "]")
+    return dataset_from_dict({**payload["header"], "records": rows})

@@ -10,7 +10,8 @@ function of its task, and the executor that ran it is unobservable.
 
 :func:`execute_shard` is the module-level entry point handed to executors:
 it takes a picklable :class:`ShardTask` and returns a JSON-able dict, the
-common currency of process transport, the shard cache, and merging.
+common currency of process transport, the shard cache, and merging; its
+datasets are in line form, each record encoded once at shard end.
 :func:`execute_shard_live` is its cache-free twin, which leaves the
 datasets as objects because nothing will store them.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.export import dataset_to_dict
+from repro.core.export import dataset_to_lines
 from repro.core.validity import NodeHealth, ValidityPolicy
 from repro.engine.experiments import (
     ATTEMPT_INVALID,
@@ -268,15 +269,19 @@ def execute_shard(task: ShardTask) -> dict:
 
     The returned dict is exactly what a shard cache stores, so a shard
     served from the cache and a freshly executed one are indistinguishable.
-    The ``obs`` key exists only when the task ran with observability on —
-    an ``off`` run's result is byte-identical to pre-obs builds.
+    Each dataset is in line form
+    (:func:`~repro.core.export.dataset_to_lines`): every record is encoded
+    once, here, as its canonical JSON line in execution order with its zID
+    beside it, and nothing downstream re-encodes it — the merge concatenates
+    lines and the run summary splices them.  The ``obs`` key exists only
+    when the task ran with observability on.
     """
     datasets, metrics, obs_payload = run_shard(task)
     result = {
         "kind": "shard",
         "index": task.spec.index,
         "datasets": {
-            name: dataset_to_dict(dataset) for name, dataset in datasets.items()
+            name: dataset_to_lines(dataset) for name, dataset in datasets.items()
         },
         "metrics": metrics.to_dict(),
     }
@@ -329,12 +334,12 @@ def execute_shard_contained(attempt: ShardAttempt) -> dict:
 def execute_shard_live(task: ShardTask) -> dict:
     """Like :func:`execute_shard`, but with live ``Dataset`` objects.
 
-    Cache-free runs never store shard results, so encoding millions of
-    records through the dict codec and immediately decoding them at the
-    merge is pure overhead — at paper scale, tens of seconds of it.  This
-    entry point keeps the same result shape with the datasets left as
-    objects; process workers pickle the dataclasses directly.  Runs with a
-    shard cache must use :func:`execute_shard` — the cache stores JSON.
+    Cache-free runs never store shard results, so encoding every record
+    into a line at shard end would be pure overhead — at paper scale,
+    millions of encodes.  This entry point keeps the same result shape with
+    the datasets left as objects; process workers pickle the dataclasses
+    directly.  Runs with a shard cache must use :func:`execute_shard` — the
+    cache stores JSON.
     """
     datasets, metrics, obs_payload = run_shard(task)
     result = {

@@ -16,7 +16,11 @@ A study run is four deterministic stages:
    one mechanism behind both crash resume and incremental re-crawls.
 4. **Merge + analyse** — shard datasets concatenate in shard-index order
    (never completion order), then flow into the same analysis stage the
-   legacy path uses.
+   legacy path uses.  Cache-backed shards deliver each record as its
+   canonical JSON line, encoded once at shard end; the merge concatenates
+   lines without decoding them, :attr:`EngineRun.datasets` decodes them
+   only when first read, and :func:`dataset_summary` splices them.  So a
+   fully cached study costs its plans, its cache keys and one splice.
 
 Because stages 1, 2, and each shard of 3 are pure functions of the spec,
 the merged output is bit-identical for any worker count, interleaving, or
@@ -26,12 +30,18 @@ users) assert cheaply.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Protocol
+from typing import TYPE_CHECKING, Mapping, Optional, Protocol, Union
 
 from repro.core.crawler import DEFAULT_STOP_THRESHOLD, DEFAULT_WINDOW, CrawlController
-from repro.core.export import dataset_from_dict, dataset_to_dict
+from repro.core.experiments.dns_hijack import DnsDataset
+from repro.core.experiments.http_mod import HttpDataset
+from repro.core.export import (
+    LINE_ENCODER,
+    dataset_from_dict,
+    dataset_from_lines,
+    dataset_to_lines,
+)
 from repro.core.study import StudyResults, assemble_results
 from repro.core.validity import ValidityPolicy
 from repro.engine.executor import Executor, make_executor, resolve_workers
@@ -114,6 +124,11 @@ class StudySpec:
             )
 
 
+#: A merged dataset as a run holds it: a live object (cache-free runs) or
+#: line form (cache-backed runs; see :func:`~repro.core.export.dataset_to_lines`).
+MergedDataset = Union[Dataset, dict]
+
+
 @dataclass
 class EngineRun:
     """One engine run's full output."""
@@ -121,7 +136,9 @@ class EngineRun:
     spec: StudySpec
     digest: str
     plans: dict[str, tuple[str, ...]]
-    datasets: dict[str, Dataset]
+    #: The output of :func:`merge_shard_results`, read through
+    #: :attr:`datasets` and :meth:`dataset_summary`.
+    merged: dict[str, MergedDataset]
     report: RunReport
     results: Optional[StudyResults] = None
     #: Shards served from a :class:`ShardCache` (a resumed checkpoint or a
@@ -145,10 +162,31 @@ class EngineRun:
     degraded: bool = False
     #: Quarantined shards: index -> ``{"attempts", "category", "error"}``.
     excluded_shards: dict[int, dict] = field(default_factory=dict)
+    _datasets: Optional[dict[str, Dataset]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def datasets(self) -> dict[str, Dataset]:
+        """The run's datasets as objects, decoded on first read.
+
+        Records are in shard-index order, then each shard's execution
+        order, whether the run was cache-backed or not.  A cache-backed
+        run's line-form datasets are decoded here, once, when something
+        first reads them (analyses, exports, tests); a run that is only
+        summarised never decodes a record.
+        """
+        if self._datasets is None:
+            self._datasets = {
+                name: dataset_from_lines(part) if isinstance(part, dict) else part
+                for name, part in self.merged.items()
+            }
+        return self._datasets
 
     def dataset_summary(self) -> str:
-        """Canonical summary of this run's datasets (see module function)."""
-        return dataset_summary(self.datasets)
+        """Canonical summary of this run's datasets (see module function),
+        spliced from the merged lines without decoding them."""
+        return dataset_summary(self.merged)
 
     def metrics_json(self) -> str:
         """The run-level metrics as stable JSON."""
@@ -225,9 +263,9 @@ def shard_cache_key(task: ShardTask) -> str:
     (fault profile and seed included) and countries, the shard spec with
     its derived seed and the shard count, the shard's own plan slices, and
     the retry/validity policies.  ``obs`` participates because the stored
-    payload differs by observability level, and the ``shard-cache-v2`` tag
+    payload differs by observability level, and the ``shard-cache-v3`` tag
     names the payload format.  So an entry written under different inputs
-    can only miss; it is never mixed into a run.
+    or in an older format can only miss; it is never mixed into a run.
 
     The granularity is the whole shard *task*: a change to the world
     config, countries, fault seed, study seed or shard count dirties every
@@ -236,7 +274,7 @@ def shard_cache_key(task: ShardTask) -> str:
     served in part — the shards whose slices are unchanged still hit.
     """
     return stable_digest(
-        "shard-cache-v2",  # v2: a traced shard's events are one JSONL chunk
+        "shard-cache-v3",  # v3: datasets in line form, one canonical line per record
         sorted(asdict(task.config).items()),
         task.countries,
         (task.spec.index, task.spec.count, task.spec.seed),
@@ -247,52 +285,99 @@ def shard_cache_key(task: ShardTask) -> str:
     )
 
 
-def merge_shard_results(results_by_index: Mapping[int, dict]) -> dict[str, Dataset]:
-    """Concatenate shard datasets in shard-index order.
+def merge_shard_results(results_by_index: Mapping[int, dict]) -> dict[str, MergedDataset]:
+    """Concatenate shard datasets in shard-index order, decoding nothing.
 
-    Shard payloads arrive either as codec dicts (cached runs, whose store
-    holds JSON) or as live ``Dataset`` objects (cache-free runs, which skip
-    the codec round-trip entirely).
+    Cache-free runs deliver live ``Dataset`` objects, which merge as
+    objects.  Cache-backed runs deliver line form
+    (:func:`~repro.core.export.dataset_to_lines`), which merges as line
+    form: the zID and line lists concatenate in shard-index order and only
+    the headers are combined, so no record is parsed or re-encoded.
+    :attr:`EngineRun.datasets` decodes line form when it is first read.
 
     Cross-shard header fields that cannot be summed (the §4 unique-resolver
-    count) are recomputed over the merged records.
+    count) are recomputed over the merged records — in line form, from the
+    sorted resolver list each DNS part carries.
     """
-    datasets: dict[str, Dataset] = {}
+    shards = [results_by_index[index]["datasets"] for index in sorted(results_by_index)]
+    datasets: dict[str, MergedDataset] = {}
     for name in EXPERIMENT_ORDER:
-        merged = empty_dataset(name)
-        assert merged is not None
-        for index in sorted(results_by_index):
-            payload = results_by_index[index]["datasets"].get(name)
-            if payload is None:
-                continue
-            part = dataset_from_dict(payload) if isinstance(payload, dict) else payload
-            merged.records.extend(part.records)  # type: ignore[arg-type]
-            merged.probes += part.probes
-            if name == "dns":
-                merged.filtered_google_overlap += part.filtered_google_overlap  # type: ignore[union-attr]
-            elif name == "http":
-                merged.flagged_ases |= part.flagged_ases  # type: ignore[union-attr]
-        if name == "dns":
-            merged.unique_dns_servers = len(  # type: ignore[union-attr]
-                {r.dns_server_ip for r in merged.records}  # type: ignore[union-attr]
-            )
-        datasets[name] = merged
+        parts = [shard[name] for shard in shards if name in shard]
+        if any(isinstance(part, dict) for part in parts):
+            datasets[name] = _merge_lines(name, parts)
+        else:
+            datasets[name] = _merge_live(name, parts)
     return datasets
 
 
-def dataset_summary(datasets: Mapping[str, Dataset]) -> str:
+def _add_header(merged: Dataset, part: Dataset) -> None:
+    """Fold one shard's summable header fields into ``merged``."""
+    merged.probes += part.probes
+    if isinstance(merged, DnsDataset):
+        merged.filtered_google_overlap += part.filtered_google_overlap  # type: ignore[union-attr]
+    elif isinstance(merged, HttpDataset):
+        merged.flagged_ases |= part.flagged_ases  # type: ignore[union-attr]
+
+
+def _merge_live(name: str, parts: list[Dataset]) -> Dataset:
+    merged = empty_dataset(name)
+    assert merged is not None
+    for part in parts:
+        merged.records.extend(part.records)  # type: ignore[arg-type]
+        _add_header(merged, part)
+    if isinstance(merged, DnsDataset):
+        merged.unique_dns_servers = len({r.dns_server_ip for r in merged.records})
+    return merged
+
+
+def _merge_lines(name: str, parts: list[dict]) -> dict:
+    merged = empty_dataset(name)
+    assert merged is not None
+    zids: list[str] = []
+    lines: list[str] = []
+    resolvers: set[int] = set()
+    for part in parts:
+        zids += part["zids"]
+        lines += part["lines"]
+        resolvers.update(part.get("resolvers", ()))
+        _add_header(merged, dataset_from_dict({**part["header"], "records": []}))
+    if isinstance(merged, DnsDataset):
+        merged.unique_dns_servers = len(resolvers)
+    payload = dataset_to_lines(merged)
+    payload["zids"] = zids
+    payload["lines"] = lines
+    if "resolvers" in payload:
+        payload["resolvers"] = sorted(resolvers)
+    return payload
+
+
+def dataset_summary(datasets: Mapping[str, MergedDataset]) -> str:
     """Canonical JSON over a run's datasets, for byte-level comparison.
 
     Records are sorted by zID within each experiment: shard-index merge
     order and plan order both reach the same sorted form, so two runs are
     equivalent iff their summaries are byte-identical.
+
+    The summary is one splice: each dataset's header fields are encoded and
+    its canonical record lines are joined in zID order (a stable sort, so
+    equal zIDs keep merge order); live datasets encode their lines first.
+    The bytes are those of ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` over every dataset's dict form with its
+    records sorted by zID.
     """
-    payload = {}
+    encode = LINE_ENCODER.encode
+    experiments = []
     for name in sorted(datasets):
-        encoded = dataset_to_dict(datasets[name])
-        encoded["records"] = sorted(encoded["records"], key=lambda row: row["zid"])
-        payload[name] = encoded
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        part = datasets[name]
+        if not isinstance(part, dict):
+            part = dataset_to_lines(part)
+        lines = part["lines"]
+        order = sorted(range(len(lines)), key=part["zids"].__getitem__)
+        values = {key: encode(value) for key, value in part["header"].items()}
+        values["records"] = "[" + ",".join([lines[i] for i in order]) + "]"
+        body = ",".join(f"{encode(key)}:{values[key]}" for key in sorted(values))
+        experiments.append(f"{encode(name)}:{{{body}}}")
+    return "{" + ",".join(experiments) + "}"
 
 
 def run_study(
@@ -385,7 +470,7 @@ def run_study(
     cached_count = len(completed)
     pool = executor if executor is not None else make_executor(spec.workers)
     # Only a cache needs the JSON-able result form; everything else merges
-    # the shard's live datasets and skips the codec round-trip.
+    # the shard's live datasets and skips encoding lines.
     use_codec = shard_cache is not None
     contained = faults is not None or shard_attempts > 1
     excluded: dict[int, dict] = {}
@@ -439,10 +524,10 @@ def run_study(
         ShardMetrics.from_dict(completed[index]["metrics"]) for index in sorted(completed)
     ]
     with profile.section("merge"):
-        datasets = merge_shard_results(completed)
+        merged = merge_shard_results(completed)
 
     run = EngineRun(
-        spec=spec, digest=digest, plans=plans, datasets=datasets, report=report,
+        spec=spec, digest=digest, plans=plans, merged=merged, report=report,
         cached_shards=cached_count,
     )
     if excluded:
@@ -466,6 +551,7 @@ def run_study(
     # A degraded run's datasets are partial: §5 analyses over them would be
     # silently wrong, so degraded runs never produce results tables.
     if analyses and not excluded:
+        datasets = run.datasets
         run.results = assemble_results(
             coordinator,
             datasets["dns"],  # type: ignore[arg-type]

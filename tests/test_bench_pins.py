@@ -4,7 +4,9 @@
 over every completed study's ``(tenant, name, occurrence, run digest,
 dataset SHA)``.  It moves whenever a run digest or dataset does, so the
 1-tenant wave (three daily re-crawls of one tenant) is replayed here and
-compared with its pin.
+compared with its pin, together with the verbatim re-submission (cold and
+warm must both give the pinned dataset SHA) and the partial-hit re-crawl
+(executed and cached shard counts and its ledger).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -25,12 +29,37 @@ def _load_bench_serve():
     return module
 
 
-def test_one_tenant_serve_ledger_matches_pin():
-    pinned = json.loads((ROOT / "results" / "BENCH_serve.json").read_text(encoding="utf-8"))
+@pytest.fixture(scope="module")
+def bench_serve():
+    return _load_bench_serve()
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads((ROOT / "results" / "BENCH_serve.json").read_text(encoding="utf-8"))
+
+
+def test_one_tenant_serve_ledger_matches_pin(bench_serve, pinned):
     point = pinned["tenant_points"]["1"]
-    block = _load_bench_serve().bench_tenants(
+    block = bench_serve.bench_tenants(
         1, point["rounds"], point["shards_per_study"], workers=1
     )
     assert block["ledger_sha256"] == point["ledger_sha256"]
     assert block["sim_seconds"] == point["sim_seconds"]
     assert block["cached_shards"] == point["cached_shards"]
+
+
+def test_resubmission_matches_pin(bench_serve, pinned):
+    # The point exits non-zero unless cold and warm give one dataset SHA.
+    point = pinned["resubmission"]
+    block = bench_serve.bench_resubmission(point["shards"], workers=1)
+    assert block["dataset_summary_sha256"] == point["dataset_summary_sha256"]
+    assert block["cache_hit_rate"] == point["cache_hit_rate"]
+
+
+def test_partial_hit_matches_pin(bench_serve, pinned):
+    point = pinned["partial_hit"]
+    block = bench_serve.bench_partial_hit(workers=1)
+    for key in ("dirty_shards", "executed_shards", "cached_shards", "ledger_sha256"):
+        assert block[key] == point[key], key
+    assert 0 < block["cached_shards"] < block["shards"]
