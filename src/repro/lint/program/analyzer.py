@@ -33,11 +33,12 @@ from repro.lint.program.races import detect_races
 from repro.lint.program.symbols import ModuleSummary, build_module_summary
 from repro.lint.program.taint import analyze_flows
 
-#: Bump to invalidate every cache when analysis semantics change.
-#: Bumped for the RACE-family extension: in-place mutator calls
-#: (``.append()`` et al.) on module globals now count as mutations, and
-#: ``array`` counts as a mutable constructor.
-ANALYZER_VERSION = "2"
+#: Bump to invalidate every cache when analysis semantics change.  The
+#: cache signature covers rule ids, not what the rules find, so a per-file
+#: rule whose findings or messages change under its old id needs a bump.
+#: Version 3: the import-ban rows (STER001, FLT001, OBS001, SRV001, WLD001)
+#: match more imports and calls and word their messages anew.
+ANALYZER_VERSION = "3"
 
 
 @dataclass(slots=True)

@@ -37,6 +37,7 @@ from typing import ClassVar, Iterator, Mapping, Sequence
 
 from repro.lint.config import LintConfig
 from repro.lint.engine import TraceStep
+from repro.lint.rules.determinism import is_wall_clock_call
 
 # -- taint kinds -------------------------------------------------------------
 
@@ -46,16 +47,6 @@ KIND_ENV = "env"
 KIND_SETORDER = "setorder"
 
 ALL_KINDS = (KIND_WALLCLOCK, KIND_RNG, KIND_ENV, KIND_SETORDER)
-
-#: ``time.<attr>`` reads (mirrors the DET002 per-file set, minus ``sleep``
-#: whose return value is ``None``).
-_WALLCLOCK_TIME_ATTRS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
-    "localtime", "gmtime",
-})
-
-_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
 _RNG_DIRECT_CALLS = frozenset({"os.urandom", "uuid.uuid4"})
 
@@ -919,21 +910,11 @@ class _FunctionWalker:
         path, line = self.ctx.path, node.lineno
 
         for name in sorted(names):
+            if is_wall_clock_call(name, reads_only=True):
+                return source_taint(
+                    KIND_WALLCLOCK, name, path, line, f"wall-clock read {name}()"
+                )
             parts = name.split(".")
-            if (
-                len(parts) == 2 and parts[0] == "time"
-                and parts[1] in _WALLCLOCK_TIME_ATTRS
-            ):
-                return source_taint(
-                    KIND_WALLCLOCK, name, path, line, f"wall-clock read {name}()"
-                )
-            if (
-                len(parts) >= 2 and parts[-1] in _DATETIME_ATTRS
-                and parts[-2] in ("datetime", "date")
-            ):
-                return source_taint(
-                    KIND_WALLCLOCK, name, path, line, f"wall-clock read {name}()"
-                )
             if name in _RNG_DIRECT_CALLS or parts[0] == "secrets":
                 return source_taint(
                     KIND_RNG, name, path, line, f"entropy read {name}()"

@@ -4,29 +4,26 @@ from __future__ import annotations
 
 from repro.lint.rules.base import Rule
 from repro.lint.rules.determinism import UnorderedIteration, UnseededRandom, WallClock
-from repro.lint.rules.faultplan import FaultPlanOnly
-from repro.lint.rules.observability import SimulatedTimeOnly
 from repro.lint.rules.safety import BroadExcept, MutableDefaults
-from repro.lint.rules.service import ContainedFailures, DeterministicService
+from repro.lint.rules.service import ContainedFailures
 from repro.lint.rules.simulation import FrozenRecords
-from repro.lint.rules.sterility import SterileImports
-from repro.lint.rules.worldbuilder import DeterministicWorldBuilder
+from repro.lint.rules.sterility import FLT001, OBS001, SRV001, STER001, WLD001, ImportBan
 
 #: Every shipped rule instance; the engine runs these unless configured
 #: otherwise with ``LintConfig.select``.
 ALL_RULES: tuple[Rule, ...] = (
-    SterileImports(),   # STER001
+    STER001,
     UnseededRandom(),   # DET001
     WallClock(),        # DET002
     UnorderedIteration(),  # DET003
-    FaultPlanOnly(),    # FLT001
-    SimulatedTimeOnly(),  # OBS001
+    FLT001,
+    OBS001,
     MutableDefaults(),  # SAFE001
     BroadExcept(),      # SAFE002
     FrozenRecords(),    # SIM001
-    DeterministicService(),  # SRV001
+    SRV001,
     ContainedFailures(),  # SRV002
-    DeterministicWorldBuilder(),  # WLD001
+    WLD001,
 )
 
 _BY_ID = {rule.rule_id: rule for rule in ALL_RULES}
@@ -41,14 +38,10 @@ __all__ = [
     "ALL_RULES",
     "BroadExcept",
     "ContainedFailures",
-    "DeterministicService",
-    "DeterministicWorldBuilder",
-    "FaultPlanOnly",
     "FrozenRecords",
+    "ImportBan",
     "MutableDefaults",
     "Rule",
-    "SimulatedTimeOnly",
-    "SterileImports",
     "UnorderedIteration",
     "UnseededRandom",
     "WallClock",

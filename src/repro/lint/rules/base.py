@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import ast
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 from repro.lint.engine import FileContext, Finding
 
@@ -12,14 +12,14 @@ from repro.lint.engine import FileContext, Finding
 class Rule(abc.ABC):
     """One named invariant checked over a parsed module.
 
-    Subclasses set the three class attributes (they feed the documentation
-    generator and the reporters) and implement :meth:`check` as a generator
-    of findings.
+    Subclasses set the three attributes (they feed the documentation
+    generator and the reporters), on the class or per instance, and
+    implement :meth:`check` as a generator of findings.
     """
 
-    rule_id: ClassVar[str]
-    title: ClassVar[str]
-    rationale: ClassVar[str]
+    rule_id: str
+    title: str
+    rationale: str
 
     @abc.abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Finding]:

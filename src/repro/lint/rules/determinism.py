@@ -83,17 +83,38 @@ class UnseededRandom(Rule):
 
 # -- DET002 -----------------------------------------------------------------
 
-#: ``time.<attr>`` calls that read (or block on) the wall clock.
-_TIME_ATTRS = {
+#: ``time.<attr>`` calls that read the wall clock.
+_TIME_READS = frozenset({
     "time", "time_ns",
     "monotonic", "monotonic_ns",
     "perf_counter", "perf_counter_ns",
     "process_time", "process_time_ns",
-    "sleep", "localtime", "gmtime",
-}
+    "localtime", "gmtime",
+})
+
+#: ``time.<attr>`` names DET002 bans: every read, plus ``sleep``, which
+#: blocks on the wall clock.
+_TIME_ATTRS = _TIME_READS | {"sleep"}
 
 #: ``datetime``/``date`` constructors that read the wall clock.
-_DATETIME_ATTRS = {"now", "utcnow", "today"}
+_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+
+
+def is_wall_clock_call(name: str, *, reads_only: bool = False) -> bool:
+    """True when the dotted call ``name`` reads or blocks on the wall clock.
+
+    ``reads_only`` leaves out ``time.sleep``, whose value is ``None``: the
+    whole-program taint pass wants only the calls whose result carries the
+    host's time.
+    """
+    parts = name.split(".")
+    if len(parts) == 2 and parts[0] == "time":
+        return parts[1] in (_TIME_READS if reads_only else _TIME_ATTRS)
+    return (
+        len(parts) >= 2
+        and parts[-1] in _DATETIME_ATTRS
+        and parts[-2] in ("datetime", "date")
+    )
 
 
 class WallClock(Rule):
@@ -121,21 +142,7 @@ class WallClock(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
-            if name is None:
-                continue
-            if name.startswith("time.") and name.split(".", 1)[1] in _TIME_ATTRS:
-                yield self.finding(
-                    ctx, node, name,
-                    f"'{name}()' reads the wall clock; simulation time must "
-                    "come from repro.net.clock",
-                )
-                continue
-            parts = name.split(".")
-            if (
-                len(parts) >= 2
-                and parts[-1] in _DATETIME_ATTRS
-                and parts[-2] in ("datetime", "date")
-            ):
+            if name is not None and is_wall_clock_call(name):
                 yield self.finding(
                     ctx, node, name,
                     f"'{name}()' reads the wall clock; simulation time must "

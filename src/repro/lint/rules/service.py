@@ -1,21 +1,13 @@
-"""SRV001/SRV002 — the service plane schedules on simulated time and keyed
-hashes, and contains failures into the resilience taxonomy.
+"""SRV002 — the service plane contains failures into the resilience taxonomy.
 
-``repro serve`` promises that a queue spec *is* a reproducible service run:
-same spec, same bytes out, for any worker count or crash/resume history.
-That dies the moment a fire time comes from the host clock or a jitter
-shift comes from an RNG stream.  DET001/DET002 police calls repo-wide;
-inside :mod:`repro.serve` the gate is stricter, in the style of OBS001 and
-FLT001: even *importing* ``time``/``datetime`` or any entropy module
-(``random``, ``secrets``, ``uuid``) is a finding.  Scheduling reads the
-:class:`~repro.net.clock.SimClock`; jitter comes from
-:func:`~repro.serve.schedule.jitter_fraction`.
-
-SRV002 polices the *other* service invariant: failures are contained, never
-swallowed.  A blanket handler in the service plane must either re-raise or
-route the exception into the ``repro.resilience`` failure taxonomy
+``repro serve`` promises that failures are contained, never swallowed.  A
+blanket handler in the service plane must either re-raise or route the
+exception into the ``repro.resilience`` failure taxonomy
 (``classify_failure`` / ``FailureRecord.from_exception``) so it lands in
 the ledger with a category; a bare ``except:`` is never acceptable there.
+Its sibling SRV001 (no wall clock or ambient randomness in
+:mod:`repro.serve`) is an :class:`~repro.lint.rules.sterility.ImportBan`
+row.
 """
 
 from __future__ import annotations
@@ -25,102 +17,10 @@ from typing import Iterator
 
 from repro.lint.engine import FileContext, Finding
 from repro.lint.rules.base import Rule, call_name
-from repro.lint.rules.determinism import _DATETIME_ATTRS, _TIME_ATTRS
 from repro.lint.rules.safety import _handler_reraises, _overbroad_names
 
 #: The rule only applies inside the service package.
 _SERVE_PACKAGE = "repro/serve/"
-
-#: Wall-clock modules: their import into the service plane implies intent.
-_CLOCK_MODULES = {"time", "datetime"}
-
-#: Entropy modules: jitter and tie-breaking must be keyed hashes instead.
-_ENTROPY_MODULES = {"random", "secrets", "uuid", "numpy.random"}
-
-
-class DeterministicService(Rule):
-    """Forbid wall-clock access and ambient randomness in ``repro.serve``."""
-
-    rule_id = "SRV001"
-    title = "wall clock or ambient randomness in the service plane"
-    rationale = (
-        "A service run replays bit-for-bit — fire times, queue order, cache "
-        "keys — only because scheduling reads the SimClock and jitter is a "
-        "keyed hash of (seed, schedule key, occurrence).  A wall-clock read "
-        "or RNG stream anywhere in repro.serve makes the queue's history "
-        "depend on the host, and two runs of the same spec stop agreeing."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if _SERVE_PACKAGE not in ctx.path:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _CLOCK_MODULES:
-                        yield self.finding(
-                            ctx, node, alias.name,
-                            f"'{alias.name}' must not be imported in the "
-                            "service plane; schedule on the SimClock",
-                        )
-                    elif alias.name in _ENTROPY_MODULES or root in (
-                        "random", "secrets", "uuid",
-                    ):
-                        yield self.finding(
-                            ctx, node, alias.name,
-                            f"'{alias.name}' must not be imported in the "
-                            "service plane; derive jitter with "
-                            "jitter_fraction (a keyed hash)",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                root = module.split(".")[0]
-                if root in _CLOCK_MODULES:
-                    yield self.finding(
-                        ctx, node, module,
-                        f"importing from '{module}' brings the wall clock "
-                        "into the service plane; schedule on the SimClock",
-                    )
-                elif module in _ENTROPY_MODULES or root in (
-                    "random", "secrets", "uuid",
-                ):
-                    yield self.finding(
-                        ctx, node, module,
-                        f"importing from '{module}' brings ambient "
-                        "randomness into the service plane; derive jitter "
-                        "with jitter_fraction (a keyed hash)",
-                    )
-            elif isinstance(node, ast.Call):
-                name = call_name(node)
-                if name is None:
-                    continue
-                if name.startswith("time.") and name.split(".", 1)[1] in _TIME_ATTRS:
-                    yield self.finding(
-                        ctx, node, name,
-                        f"'{name}()' reads the wall clock inside the service "
-                        "plane; fire times must come from the SimClock",
-                    )
-                    continue
-                if name in ("os.urandom", "os.getrandom"):
-                    yield self.finding(
-                        ctx, node, name,
-                        f"'{name}()' is an entropy source inside the service "
-                        "plane; derive jitter with jitter_fraction",
-                    )
-                    continue
-                parts = name.split(".")
-                if (
-                    len(parts) >= 2
-                    and parts[-1] in _DATETIME_ATTRS
-                    and parts[-2] in ("datetime", "date")
-                ):
-                    yield self.finding(
-                        ctx, node, name,
-                        f"'{name}()' reads the wall clock inside the service "
-                        "plane; fire times must come from the SimClock",
-                    )
-
 
 #: Calls that route an exception into the failure taxonomy.
 _CLASSIFIERS = {"classify_failure", "from_exception"}

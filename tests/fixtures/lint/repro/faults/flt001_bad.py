@@ -10,6 +10,8 @@ import secrets
 import uuid
 from random import Random
 
+from numpy import random as np_random
+
 
 def draw_fault(seed: int) -> float:
     rng = Random(seed)  # seeded, but still a sequential stream
@@ -20,4 +22,8 @@ def fault_token() -> str:
     return f"{uuid.uuid4()}:{secrets.token_hex(4)}:{os.urandom(8).hex()}"
 
 
-_ = random
+def fault_salt() -> bytes:
+    return os.getrandom(8)
+
+
+_ = random, np_random

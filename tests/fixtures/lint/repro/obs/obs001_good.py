@@ -1,4 +1,10 @@
-"""OBS001 good fixture: trace timestamps come from the simulated clock."""
+"""OBS001 good fixture: trace timestamps come from the simulated clock.
+
+A relative import names a sibling module, never the standard library, so
+``.time`` is not the ``time`` module.
+"""
+
+from .time import SimTime
 
 
 class Recorder:
@@ -9,4 +15,4 @@ class Recorder:
         self._events = []
 
     def event(self, name: str) -> None:
-        self._events.append((self._clock.now, name))
+        self._events.append((SimTime(self._clock.now), name))

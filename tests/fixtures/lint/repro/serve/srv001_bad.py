@@ -5,9 +5,12 @@ service package; identical code elsewhere is DET001/DET002's business.
 (It trips those here too — the SRV001 tests run with ``select=("SRV001",)``.)
 """
 
+import os
 import random
 import time
 from datetime import datetime
+
+import numpy.random.mtrand
 
 
 def next_fire() -> float:
@@ -16,3 +19,7 @@ def next_fire() -> float:
 
 def submitted_stamp() -> str:
     return datetime.now().isoformat()
+
+
+def lease_token() -> str:
+    return os.urandom(8).hex() + os.getrandom(8).hex()

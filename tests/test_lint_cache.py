@@ -84,6 +84,16 @@ def test_config_change_invalidates_the_cache(project):
     assert warm.stats["parsed"] == warm.stats["files"]
 
 
+def test_analyzer_version_change_invalidates_the_cache(project, monkeypatch):
+    # A cache written by another analyzer version must not serve its
+    # findings: rule ids and config can match while the rules changed.
+    monkeypatch.setattr("repro.lint.program.analyzer.ANALYZER_VERSION", "older")
+    _run(project)
+    monkeypatch.undo()
+    warm = _run(project)
+    assert warm.stats["parsed"] == warm.stats["files"] > 0
+
+
 def test_corrupt_cache_degrades_to_cold_run(project):
     _run(project)
     cache_file = project / DEFAULT_CACHE_DIRNAME / "cache.json"

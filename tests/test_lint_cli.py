@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
+    ALL_RULES,
     Baseline,
     BaselineEntry,
     BaselinePlaceholderError,
@@ -304,8 +305,15 @@ class TestSarifOutput:
         payload = json.loads(sarif_path.read_text(encoding="utf-8"))
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"DET100", "RACE001", "PARSE001"} <= rule_ids
+        rules = run["tool"]["driver"]["rules"]
+        rule_ids = [r["id"] for r in rules]
+        assert {"DET100", "RACE001", "PARSE001"} <= set(rule_ids)
+        # Five ids share the ImportBan class; SARIF consumers key on ids.
+        for rule in ALL_RULES:
+            assert rule_ids.count(rule.rule_id) == 1, rule.rule_id
+        for entry in rules:
+            assert entry["shortDescription"]["text"], entry["id"]
+            assert entry["fullDescription"]["text"], entry["id"]
         flow_results = [r for r in run["results"] if r["ruleId"] == "DET100"]
         assert flow_results, "expected the cross-module flow in the SARIF report"
         thread = flow_results[0]["codeFlows"][0]["threadFlows"][0]["locations"]

@@ -108,110 +108,82 @@ class TestEngineMechanics:
             assert rule_id and title and rationale
 
 
-class TestFaultPlanRule:
-    """FLT001 is path-scoped, so its fixtures live under ``repro/faults/``."""
+#: (rule id, package directory, expected symbols in the bad fixture) for the
+#: package-scoped ImportBan rows; their fixtures live under ``repro/<package>/``.
+PACKAGE_CASES = [
+    ("FLT001", "faults", {
+        "random", "secrets", "uuid", "numpy.random", "os.urandom", "os.getrandom",
+    }),
+    ("OBS001", "obs", {
+        "time", "datetime", "time.perf_counter", "datetime.now",
+    }),
+    ("SRV001", "serve", {
+        "random", "time", "datetime", "numpy.random.mtrand",
+        "time.time", "datetime.now", "os.urandom", "os.getrandom",
+    }),
+    ("WLD001", "worldbuilder", {
+        "random", "time", "datetime", "numpy.random",
+        "time.time", "datetime.now", "os.urandom", "os.getrandom",
+    }),
+]
 
-    BAD = FIXTURES / "repro" / "faults" / "flt001_bad.py"
-    GOOD = FIXTURES / "repro" / "faults" / "flt001_good.py"
 
-    def test_bad_fixture_fires(self):
-        findings = fixture_engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "FLT001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"FLT001"}
-        assert {f.symbol for f in findings} == {
-            "random", "secrets", "uuid", "os.urandom",
-        }
-        assert all(f.path == "repro/faults/flt001_bad.py" for f in findings)
+@pytest.mark.parametrize(
+    "rule_id,package,symbols", PACKAGE_CASES, ids=[c[0] for c in PACKAGE_CASES]
+)
+class TestPackageImportBans:
+    """Each row is scoped to ``repro/<package>/``.
 
-    def test_good_fixture_is_silent(self):
-        findings = fixture_engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"flt001_good.py should be clean: {findings}"
+    The bad fixtures also trip DET001/DET002 (by design — the rules overlap
+    inside these packages), so these tests select one row alone.
+    """
 
-    def test_rule_is_scoped_to_faults_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = fixture_engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert "FLT001" not in {f.rule for f in findings}
+    @staticmethod
+    def engine(rule_id: str) -> LintEngine:
+        return LintEngine(LintConfig(select=(rule_id,)))
+
+    @staticmethod
+    def fixture(rule_id: str, package: str, kind: str) -> pathlib.Path:
+        return FIXTURES / "repro" / package / f"{rule_id.lower()}_{kind}.py"
+
+    def test_bad_fixture_fires(self, rule_id, package, symbols):
+        bad = self.fixture(rule_id, package, "bad")
+        findings = self.engine(rule_id).lint_file(bad, FIXTURES)
+        assert {f.rule for f in findings} == {rule_id}
+        assert {f.symbol for f in findings} == symbols
+        assert all(f.path == f"repro/{package}/{bad.name}" for f in findings)
+
+    def test_good_fixture_is_silent(self, rule_id, package, symbols):
+        good = self.fixture(rule_id, package, "good")
+        findings = self.engine(rule_id).lint_file(good, FIXTURES)
+        assert findings == [], f"{good.name} should be clean: {findings}"
+
+    def test_rule_is_scoped_to_package(self, rule_id, package, symbols):
+        source = self.fixture(rule_id, package, "bad").read_text(encoding="utf-8")
+        findings = self.engine(rule_id).lint_source(source, "repro/engine/elsewhere.py")
+        assert findings == []
+
+    def test_shipped_package_is_clean(self, rule_id, package, symbols):
+        import repro
+
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        findings = self.engine(rule_id).lint_paths([src / "repro" / package], root=src)
+        assert findings == []
 
 
 class TestObservabilityRule:
-    """OBS001 is path-scoped to ``repro/obs/`` and exempts ``profiling.py``.
+    """OBS001 exempts ``repro/obs/profiling.py``, the digest-excluded
+    wall-clock channel."""
 
-    Its bad fixture's wall-clock reads also trip DET002 (by design — the
-    rules overlap inside the obs plane), so these tests select OBS001 alone.
-    """
-
-    BAD = FIXTURES / "repro" / "obs" / "obs001_bad.py"
-    GOOD = FIXTURES / "repro" / "obs" / "obs001_good.py"
     PROFILING = FIXTURES / "repro" / "obs" / "profiling.py"
 
     @staticmethod
     def engine() -> LintEngine:
         return LintEngine(LintConfig(select=("OBS001",)))
 
-    def test_bad_fixture_fires(self):
-        findings = self.engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "OBS001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"OBS001"}
-        assert {f.symbol for f in findings} == {
-            "time", "datetime", "time.perf_counter", "datetime.now",
-        }
-        assert all(f.path == "repro/obs/obs001_bad.py" for f in findings)
-
-    def test_good_fixture_is_silent(self):
-        findings = self.engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"obs001_good.py should be clean: {findings}"
-
     def test_profiling_module_is_exempt(self):
         findings = self.engine().lint_file(self.PROFILING, FIXTURES)
         assert findings == [], f"profiling.py is the wall-clock channel: {findings}"
-
-    def test_rule_is_scoped_to_obs_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = self.engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert findings == []
-
-
-class TestServiceRule:
-    """SRV001 is path-scoped to ``repro/serve/`` and bans both wall-clock
-    access *and* ambient randomness (the jitter-stream trap).
-
-    Its bad fixture also trips DET001/DET002 (by design — the rules overlap
-    inside the service plane), so these tests select SRV001 alone.
-    """
-
-    BAD = FIXTURES / "repro" / "serve" / "srv001_bad.py"
-    GOOD = FIXTURES / "repro" / "serve" / "srv001_good.py"
-
-    @staticmethod
-    def engine() -> LintEngine:
-        return LintEngine(LintConfig(select=("SRV001",)))
-
-    def test_bad_fixture_fires(self):
-        findings = self.engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "SRV001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"SRV001"}
-        assert {f.symbol for f in findings} == {
-            "random", "time", "datetime", "time.time", "datetime.now",
-        }
-        assert all(f.path == "repro/serve/srv001_bad.py" for f in findings)
-
-    def test_good_fixture_is_silent(self):
-        findings = self.engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"srv001_good.py should be clean: {findings}"
-
-    def test_rule_is_scoped_to_serve_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = self.engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert findings == []
-
-    def test_shipped_serve_package_is_clean(self):
-        import repro.serve as serve_pkg
-
-        package_dir = pathlib.Path(serve_pkg.__file__).resolve().parent
-        engine = self.engine()
-        for module in sorted(package_dir.glob("*.py")):
-            findings = engine.lint_file(module, package_dir.parent.parent)
-            assert findings == [], f"{module.name}: {findings}"
 
 
 class TestContainedFailuresRule:
@@ -250,50 +222,6 @@ class TestContainedFailuresRule:
         import repro.serve as serve_pkg
 
         package_dir = pathlib.Path(serve_pkg.__file__).resolve().parent
-        engine = self.engine()
-        for module in sorted(package_dir.glob("*.py")):
-            findings = engine.lint_file(module, package_dir.parent.parent)
-            assert findings == [], f"{module.name}: {findings}"
-
-
-class TestWorldBuilderRule:
-    """WLD001 is path-scoped to ``repro/worldbuilder/`` and bans both
-    wall-clock access *and* ambient randomness (manifest SHAs must be pure
-    functions of the spec).
-
-    Its bad fixture also trips DET001/DET002 (by design — the rules overlap
-    inside the world builder), so these tests select WLD001 alone.
-    """
-
-    BAD = FIXTURES / "repro" / "worldbuilder" / "wld001_bad.py"
-    GOOD = FIXTURES / "repro" / "worldbuilder" / "wld001_good.py"
-
-    @staticmethod
-    def engine() -> LintEngine:
-        return LintEngine(LintConfig(select=("WLD001",)))
-
-    def test_bad_fixture_fires(self):
-        findings = self.engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "WLD001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"WLD001"}
-        assert {f.symbol for f in findings} == {
-            "random", "time", "datetime", "time.time", "datetime.now",
-        }
-        assert all(f.path == "repro/worldbuilder/wld001_bad.py" for f in findings)
-
-    def test_good_fixture_is_silent(self):
-        findings = self.engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"wld001_good.py should be clean: {findings}"
-
-    def test_rule_is_scoped_to_worldbuilder_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = self.engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert findings == []
-
-    def test_shipped_worldbuilder_package_is_clean(self):
-        import repro.worldbuilder as wb_pkg
-
-        package_dir = pathlib.Path(wb_pkg.__file__).resolve().parent
         engine = self.engine()
         for module in sorted(package_dir.glob("*.py")):
             findings = engine.lint_file(module, package_dir.parent.parent)
