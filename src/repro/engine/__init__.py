@@ -46,7 +46,6 @@ from repro.engine.study import (
     dataset_summary,
     merge_shard_results,
     run_digest,
-    run_plan_serial,
     run_study,
     shard_cache_key,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "partition_plan",
     "partition_plans",
     "run_digest",
-    "run_plan_serial",
     "run_shard",
     "run_study",
     "shard_cache_key",

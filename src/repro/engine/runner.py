@@ -8,12 +8,14 @@ measures only the plan slice it owns, pinning each planned node via a
 Luminati session before every attempt.  A shard's result is therefore a pure
 function of its task, and the executor that ran it is unobservable.
 
-:func:`execute_shard` is the module-level entry point handed to executors:
-it takes a picklable :class:`ShardTask` and returns a JSON-able dict, the
-common currency of process transport, the shard cache, and merging; its
-datasets are in line form, each record encoded once at shard end.
-:func:`execute_shard_live` is its cache-free twin, which leaves the
-datasets as objects because nothing will store them.
+Executors get one of two module-level entry points over one shard body,
+each taking a picklable :class:`ShardTask` and returning a dict, the common
+currency of process transport, the shard cache, and merging.
+:func:`execute_shard` returns the datasets in line form, each record
+encoded once at shard end, because a shard cache stores JSON;
+:func:`execute_shard_live` leaves them as objects because nothing will
+store them.  A task marked ``contain`` comes back as a classified
+``SHARD_FAILED`` record instead of raising when it fails.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ class ShardTask:
     #: Observability level (``off``/``metrics``/``trace``); never part of the
     #: run digest — tracing must not change what a run measures.
     obs: str = OBS_OFF
+    #: Containment, set only by :func:`~repro.engine.study.run_study` and
+    #: never part of :func:`~repro.engine.study.shard_cache_key`: ``attempt``
+    #: keys the ``execute`` fault seam of ``faults`` (retry N draws fresh
+    #: faults), and a ``contain`` task returns a failure record, not raises.
+    attempt: int = 0
+    faults: Optional["ServiceFaultPlan"] = None
+    contain: bool = False
 
 
 def measure_planned_node(
@@ -265,7 +274,7 @@ def shard_registry(task: ShardTask, metrics: ShardMetrics) -> MetricsRegistry:
 
 
 def execute_shard(task: ShardTask) -> dict:
-    """Module-level executor entry point: JSON-able shard result.
+    """Executor entry point for cache-backed runs: a JSON-able shard result.
 
     The returned dict is exactly what a shard cache stores, so a shard
     served from the cache and a freshly executed one are indistinguishable.
@@ -273,79 +282,62 @@ def execute_shard(task: ShardTask) -> dict:
     (:func:`~repro.core.export.dataset_to_lines`): every record is encoded
     once, here, as its canonical JSON line in execution order with its zID
     beside it, and nothing downstream re-encodes it — the merge concatenates
-    lines and the run summary splices them.  The ``obs`` key exists only
-    when the task ran with observability on.
+    lines and the run summary splices them.
     """
-    datasets, metrics, obs_payload = run_shard(task)
-    result = {
-        "kind": "shard",
-        "index": task.spec.index,
-        "datasets": {
-            name: dataset_to_lines(dataset) for name, dataset in datasets.items()
-        },
-        "metrics": metrics.to_dict(),
-    }
-    if obs_payload is not None:
-        result["obs"] = obs_payload
-    return result
+    return _execute(task, lines=True)
 
 
-@dataclass(frozen=True)
-class ShardAttempt:
-    """One containment-wrapped try at a shard, picklable.
+def execute_shard_live(task: ShardTask) -> dict:
+    """Executor entry point for cache-free runs: live ``Dataset`` objects.
 
-    ``attempt`` keys the execute fault seam (retry N draws fresh faults)
-    and ``codec`` selects :func:`execute_shard` vs
-    :func:`execute_shard_live`, mirroring the engine's ``use_codec`` rule.
+    Cache-free runs never store shard results, so encoding every record
+    into a line at shard end would be pure overhead — at paper scale,
+    millions of encodes.  The result has :func:`execute_shard`'s shape with
+    the datasets left as objects; process workers pickle the dataclasses
+    directly.
     """
-
-    task: ShardTask
-    attempt: int = 0
-    codec: bool = True
-    faults: Optional["ServiceFaultPlan"] = None
+    return _execute(task, lines=False)
 
 
-def execute_shard_contained(attempt: ShardAttempt) -> dict:
-    """Executor entry point that contains failures instead of raising.
+def _execute(task: ShardTask, lines: bool) -> dict:
+    """The shard body behind both entry points.
 
-    A worker that raised would poison the whole pool run; instead, any
-    failure — an injected execute-seam fault or a genuine exception —
-    comes back as a ``kind=SHARD_FAILED`` dict carrying its taxonomy
-    classification, so the engine can retry or quarantine the shard and
-    the study survives degraded.  The failure payload is deterministic
-    (classified category plus a bounded single-line description), keeping
-    the contained path inside the replay contract.
+    An uncontained task returns its result or raises.  A contained task
+    first draws its ``execute`` fault, and any failure — that injected
+    fault or a genuine exception — comes back as a ``kind=SHARD_FAILED``
+    dict carrying its taxonomy classification instead of poisoning the
+    pool run, so the engine can retry or quarantine the shard and the study
+    survives degraded.  The failure payload is deterministic (classified
+    category plus a bounded single-line description), keeping contained
+    execution inside the replay contract.
     """
-    task = attempt.task
+    if not task.contain:
+        return _shard_result(task, lines)
     try:
-        if attempt.faults is not None:
-            attempt.faults.check("execute", task.spec.index, attempt.attempt)
-        return execute_shard(task) if attempt.codec else execute_shard_live(task)
+        if task.faults is not None:
+            task.faults.check("execute", task.spec.index, task.attempt)
+        return _shard_result(task, lines)
     except Exception as exc:  # containment boundary: classified, never raised
         return {
             "kind": SHARD_FAILED,
             "index": task.spec.index,
-            "attempt": attempt.attempt,
+            "attempt": task.attempt,
             "category": classify_failure(exc, "engine"),
             "error": describe_failure(exc),
         }
 
 
-def execute_shard_live(task: ShardTask) -> dict:
-    """Like :func:`execute_shard`, but with live ``Dataset`` objects.
-
-    Cache-free runs never store shard results, so encoding every record
-    into a line at shard end would be pure overhead — at paper scale,
-    millions of encodes.  This entry point keeps the same result shape with
-    the datasets left as objects; process workers pickle the dataclasses
-    directly.  Runs with a shard cache must use :func:`execute_shard` — the
-    cache stores JSON.
-    """
+def _shard_result(task: ShardTask, lines: bool) -> dict:
+    """Run the shard; the ``obs`` key exists only when observability is on."""
     datasets, metrics, obs_payload = run_shard(task)
     result = {
         "kind": "shard",
         "index": task.spec.index,
-        "datasets": datasets,
+        "datasets": (
+            {name: dataset_to_lines(dataset) for name, dataset in datasets.items()}
+            if lines
+            else datasets
+        ),
         "metrics": metrics.to_dict(),
     }
     if obs_payload is not None:

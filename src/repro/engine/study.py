@@ -10,10 +10,12 @@ A study run is four deterministic stages:
    (:mod:`repro.engine.sharding`); each shard gets a derived seed.
 3. **Execute** — shards run on an :class:`~repro.engine.executor.Executor`
    (serial or process pool), each against a private world replay
-   (:mod:`repro.engine.runner`).  With a :class:`ShardCache`, shards
-   already stored under their :func:`shard_cache_key` are served instead
-   of executed and each executed shard is stored as it completes — the
-   one mechanism behind both crash resume and incremental re-crawls.
+   (:mod:`repro.engine.runner`), in rounds: a contained run re-queues its
+   failed shards as the next round, in shard-index order.  With a
+   :class:`ShardCache`, shards already stored under their
+   :func:`shard_cache_key` are served instead of executed and each
+   executed shard is stored as it completes — the one mechanism behind
+   both crash resume and incremental re-crawls.
 4. **Merge + analyse** — shard datasets concatenate in shard-index order
    (never completion order), then flow into the same analysis stage the
    legacy path uses.  Cache-backed shards deliver each record as its
@@ -48,15 +50,7 @@ from repro.engine.executor import Executor, make_executor, resolve_workers
 from repro.engine.experiments import EXPERIMENT_ORDER, Dataset, empty_dataset
 from repro.engine.metrics import RunReport, ShardMetrics
 from repro.engine.retry import RetryPolicy
-from repro.engine.runner import (
-    SHARD_FAILED,
-    ShardAttempt,
-    ShardTask,
-    execute_shard,
-    execute_shard_contained,
-    execute_shard_live,
-    run_shard,
-)
+from repro.engine.runner import SHARD_FAILED, ShardTask, execute_shard, execute_shard_live
 from repro.engine.sharding import (
     PlanSlice,
     derive_seed,
@@ -405,14 +399,15 @@ def run_study(
     :class:`~repro.serve.cache.DiskShardCache` (``repro study
     --checkpoint DIR``).
 
-    ``faults`` and ``shard_attempts`` enable **contained execution**: each
-    shard runs through :func:`execute_shard_contained`, an injected or
-    genuine failure is retried up to ``shard_attempts`` times with fresh
-    keyed fault draws, and a shard that exhausts its budget is quarantined
-    — the run completes ``degraded`` with an explicit excluded-shard list
-    instead of aborting (only if *every* shard dies does the run raise).
-    With both at their defaults the engine keeps its historic fail-fast
-    behaviour, byte-for-byte.
+    ``faults`` and ``shard_attempts`` enable **contained execution**: with
+    a fault plan or more than one attempt, every :class:`ShardTask` is
+    marked ``contain``, an injected or genuine failure comes back as a
+    failure record and is retried up to ``shard_attempts`` times with
+    fresh keyed fault draws, and a shard that exhausts its budget is
+    quarantined — the run completes ``degraded`` with an explicit
+    excluded-shard list instead of aborting (only if *every* shard dies
+    does the run raise :class:`ContainedFailure`).  With both at their
+    defaults a failing shard's own exception fails the run.
     """
     if shard_attempts < 1:
         raise ValueError(f"shard_attempts must be >= 1: {shard_attempts}")
@@ -444,6 +439,8 @@ def run_study(
             retry=spec.retry,
             validity=spec.validity if spec.validity is not None else ValidityPolicy(),
             obs=spec.obs,
+            faults=faults,
+            contain=faults is not None or shard_attempts > 1,
         )
         for shard_spec in shard_specs
     ]
@@ -469,10 +466,6 @@ def run_study(
         profile.note("cache.lookup", hits=len(completed), misses=len(tasks))
     cached_count = len(completed)
     pool = executor if executor is not None else make_executor(spec.workers)
-    # Only a cache needs the JSON-able result form; everything else merges
-    # the shard's live datasets and skips encoding lines.
-    use_codec = shard_cache is not None
-    contained = faults is not None or shard_attempts > 1
     excluded: dict[int, dict] = {}
 
     def store(result: dict) -> None:
@@ -481,38 +474,36 @@ def run_study(
             shard_cache.put(cache_keys[result["index"]], result)
 
     with profile.section("execute"):
-        if contained:
-            pending = [
-                ShardAttempt(task=task, codec=use_codec, faults=faults)
-                for task in tasks
-            ]
-            while pending:
-                retries: list[ShardAttempt] = []
-                for result in pool.run(pending, execute_shard_contained):
-                    if result["kind"] != SHARD_FAILED:
-                        store(result)
-                        continue
-                    tries = result["attempt"] + 1
-                    prior = next(
-                        a for a in pending if a.task.spec.index == result["index"]
-                    )
-                    if tries < shard_attempts:
-                        retries.append(replace(prior, attempt=tries))
-                    else:
-                        excluded[result["index"]] = {
-                            "attempts": tries,
-                            "category": result["category"],
-                            "error": result["error"],
-                        }
-                        profile.note("shard.quarantined", shard=result["index"])
-                # Round barrier in shard-index order: the retry wave is a
-                # pure function of which shards failed, never of completion
-                # interleaving.
-                pending = sorted(retries, key=lambda a: a.task.spec.index)
-        else:
-            shard_fn = execute_shard if use_codec else execute_shard_live
-            for result in pool.run(tasks, shard_fn):
-                store(result)
+        pending = tasks
+        while pending:
+            # Only a cache needs the JSON-able line form; everything else
+            # merges the shard's live datasets and skips encoding lines.
+            results = (
+                pool.run(pending, execute_shard)
+                if shard_cache is not None
+                else pool.run(pending, execute_shard_live)
+            )
+            retries: list[ShardTask] = []
+            for result in results:
+                if result["kind"] != SHARD_FAILED:
+                    store(result)
+                    continue
+                index = result["index"]
+                tries = result["attempt"] + 1
+                if tries < shard_attempts:
+                    prior = next(task for task in pending if task.spec.index == index)
+                    retries.append(replace(prior, attempt=tries))
+                else:
+                    excluded[index] = {
+                        "attempts": tries,
+                        "category": result["category"],
+                        "error": result["error"],
+                    }
+                    profile.note("shard.quarantined", shard=index)
+            # Round barrier in shard-index order: the retry wave is a pure
+            # function of which shards failed, never of completion
+            # interleaving.
+            pending = sorted(retries, key=lambda task: task.spec.index)
 
     if excluded and not completed:
         raise ContainedFailure(
@@ -562,41 +553,3 @@ def run_study(
         run.results.engine_report = report.to_dict()
     return run
 
-
-def run_plan_serial(
-    spec: StudySpec, *, world: Optional[World] = None
-) -> dict[str, Dataset]:
-    """The un-sharded, executor-free serial path over the full plan.
-
-    Exists as the engine-independent reference implementation: one world,
-    one pass, plan order — equivalent by construction to what the sharded
-    engine must reproduce.  The equivalence tests compare its datasets
-    byte-for-byte against engine runs.
-    """
-    serial = StudySpec(
-        config=spec.config,
-        countries=spec.countries,
-        seed=spec.seed,
-        shards=1,
-        workers=1,
-        retry=spec.retry,
-        window=spec.window,
-        stop_threshold=spec.stop_threshold,
-        max_probes=spec.max_probes,
-        validity=spec.validity,
-    )
-    coordinator = (
-        world if world is not None else build_world(serial.config, serial.countries)
-    )
-    plans = compute_plans(coordinator, serial)
-    (shard_spec,) = make_shard_specs(serial.seed, 1)
-    task = ShardTask(
-        config=serial.config,
-        countries=serial.countries,
-        spec=shard_spec,
-        plans=tuple((name, plans[name]) for name in EXPERIMENT_ORDER),
-        retry=serial.retry,
-        validity=serial.validity if serial.validity is not None else ValidityPolicy(),
-    )
-    datasets, _metrics, _obs = run_shard(task)
-    return datasets

@@ -140,7 +140,7 @@ class ServiceFaultPlan:
     """Deterministic service-seam fault draws, scoped to a study attempt.
 
     Frozen and built from primitives so it pickles into
-    :class:`~repro.engine.runner.ShardAttempt` tasks unchanged.  The
+    :class:`~repro.engine.runner.ShardTask` objects unchanged.  The
     service derives one base plan per run and narrows it with
     :meth:`scoped` per ``(tenant, study, occurrence, attempt)``; the scope
     participates in every draw, so retry attempt N draws fresh faults

@@ -7,6 +7,10 @@ dataset SHA)``.  It moves whenever a run digest or dataset does, so the
 compared with its pin, together with the verbatim re-submission (cold and
 warm must both give the pinned dataset SHA) and the partial-hit re-crawl
 (executed and cached shard counts and its ledger).
+
+``perfbench/spans.py`` times each executed shard by wrapping the engine's
+shard entry points by name in ``repro.engine.study``; the span tests check
+that every way of running a study still goes through a wrapped name.
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ import pathlib
 
 import pytest
 
+from repro.engine import SerialExecutor, run_study
+from repro.faults.service import ServiceFaultPlan, ServiceFaultProfile
+from repro.serve import MemoryShardCache
+from repro.sim import build_world
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_bench_serve():
-    path = ROOT / "benchmarks" / "bench_serve.py"
-    spec = importlib.util.spec_from_file_location("bench_serve", path)
+def _load(name: str, path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     assert spec is not None and spec.loader is not None
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -31,7 +39,12 @@ def _load_bench_serve():
 
 @pytest.fixture(scope="module")
 def bench_serve():
-    return _load_bench_serve()
+    return _load("bench_serve", ROOT / "benchmarks" / "bench_serve.py")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("perfbench_spans", ROOT / "perfbench" / "spans.py")
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +76,22 @@ def test_partial_hit_matches_pin(bench_serve, pinned):
     for key in ("dirty_shards", "executed_shards", "cached_shards", "ledger_sha256"):
         assert block[key] == point[key], key
     assert 0 < block["cached_shards"] < block["shards"]
+
+
+@pytest.mark.parametrize("mode", ["cache-free", "cache", "contained"])
+def test_perfbench_records_one_span_per_executed_shard(bench_serve, spans, mode):
+    spec = bench_serve.tenant_spec(0, 4)
+    world = build_world(spec.config, spec.countries)
+    options: dict = {}
+    if mode == "cache":
+        options["shard_cache"] = MemoryShardCache()
+    elif mode == "contained":
+        zero = ServiceFaultProfile(name="zero")
+        options["faults"] = ServiceFaultPlan.for_service(7, 3, zero)
+        options["shard_attempts"] = 2
+    with spans.LayerTrace() as trace:
+        run = run_study(
+            spec, executor=SerialExecutor(), world=world, analyses=False, **options
+        )
+    assert not run.degraded
+    assert trace.span_count("shard") == 4

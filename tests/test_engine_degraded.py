@@ -10,7 +10,10 @@ list — instead of killing the run.  The contracts under test:
   report, not smuggled into the identity,
 * degraded runs never execute analyses (no §5 findings from partial data),
 * a study whose *every* shard is exhausted raises ``ContainedFailure``
-  rather than fabricating an empty dataset.
+  rather than fabricating an empty dataset,
+* a genuine exception inside a shard fails a default (uncontained) run
+  with its own type, and is quarantined like an injected fault once the
+  run has a retry budget.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import dataclasses
 
 import pytest
 
-from repro.engine import StudySpec, run_study
+from repro.engine import StudySpec, run_study, runner
 from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.faults.service import ServiceFaultPlan, ServiceFaultProfile
 from repro.resilience import ContainedFailure
@@ -160,3 +163,33 @@ class TestDegradedExecution:
         plan = execute_plan(0.5)
         rescoped = dataclasses.replace(plan)
         assert rescoped.scope == plan.scope
+
+
+class TestGenuineShardFailure:
+    @pytest.fixture
+    def broken_shard(self, monkeypatch):
+        run_shard = runner.run_shard
+
+        def broken(task):
+            if task.spec.index == 1:
+                raise RuntimeError("shard 1 broke")
+            return run_shard(task)
+
+        monkeypatch.setattr(runner, "run_shard", broken)
+
+    def test_fail_fast_raises_the_shard_exception(self, world, broken_shard):
+        with pytest.raises(RuntimeError, match="shard 1 broke") as excinfo:
+            run_study(
+                make_spec(), world=world, analyses=False, executor=SerialExecutor()
+            )
+        assert type(excinfo.value) is RuntimeError
+
+    def test_retry_budget_quarantines_the_shard(self, world, broken_shard):
+        run = run_study(
+            make_spec(), world=world, analyses=False,
+            executor=SerialExecutor(), shard_attempts=2,
+        )
+        assert run.degraded
+        assert run.excluded_shards == {
+            1: {"attempts": 2, "category": "shard", "error": "RuntimeError: shard 1 broke"}
+        }

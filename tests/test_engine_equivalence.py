@@ -1,23 +1,26 @@
 """Satellite property: engine results are executor-independent.
 
 The same world + seed must produce **byte-identical** dataset summaries
-whether the plan runs on the serial reference path, the engine with one
-worker, or the engine with a process pool — and, at a fixed shard count,
-for every worker count.  Shard count itself is part of a run's identity
-(per-shard worlds replay different timing histories), which the digest
-tests pin down.
+whether the full plan runs as one ``run_shard`` call with no executor, on
+the engine with one worker, or on the engine with a process pool — and, at
+a fixed shard count, for every worker count.  Shard count itself is part
+of a run's identity (per-shard worlds replay different timing histories),
+which the digest tests pin down.
 """
 
 import pytest
 
 from repro.engine import (
+    ShardTask,
     StudySpec,
     compute_plans,
     dataset_summary,
+    make_shard_specs,
     run_digest,
-    run_plan_serial,
+    run_shard,
     run_study,
 )
+from repro.engine.experiments import EXPERIMENT_ORDER
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec, IspSpec, ResolverHijackSpec
 
@@ -76,8 +79,21 @@ def single_shard_run(coordinator_world):
 
 class TestWorkerEquivalence:
     def test_serial_legacy_path_matches_engine(self, coordinator_world, single_shard_run):
-        serial = run_plan_serial(engine_spec(1, 1), world=coordinator_world)
-        assert dataset_summary(serial) == single_shard_run.dataset_summary()
+        # One world, one pass over the full plan in plan order: no executor,
+        # no packed plan slices, no result dict.
+        spec = engine_spec(1, 1)
+        plans = compute_plans(coordinator_world, spec)
+        (shard_spec,) = make_shard_specs(spec.seed, 1)
+        task = ShardTask(
+            config=spec.config,
+            countries=spec.countries,
+            spec=shard_spec,
+            plans=tuple((name, plans[name]) for name in EXPERIMENT_ORDER),
+            retry=spec.retry,
+            validity=spec.validity,
+        )
+        datasets, _metrics, _obs = run_shard(task)
+        assert dataset_summary(datasets) == single_shard_run.dataset_summary()
 
     def test_process_pool_matches_single_worker(self, coordinator_world, single_shard_run):
         pooled = run_study(engine_spec(1, 4), world=coordinator_world, analyses=False)

@@ -7,12 +7,14 @@ one-component and the expectations stay readable.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 
 from repro.lint import LintConfig, ProgramAnalyzer, render_text
-from repro.lint.program import module_name_for
+from repro.lint.program import build_module_summary, module_name_for
 
-FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures" / "lint" / "program"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures" / "lint" / "program"
 
 
 def _analyze(name: str):
@@ -104,6 +106,18 @@ class TestRaceRules:
         race1 = [f for f in result.findings if f.rule == "RACE001"]
         assert len(race1) == 1
         assert race1[0].symbol == "_IP_COLUMN@work"
+
+
+    def test_engine_hands_both_shard_entry_points_to_the_pool(self):
+        # RACE001/RACE002 start from the names passed to pool.run, so every
+        # entry point a study can execute a shard through must be one.
+        relpath = "src/repro/engine/study.py"
+        tree = ast.parse((ROOT / relpath).read_text(encoding="utf-8"))
+        summary = build_module_summary(tree, relpath, LintConfig.default())
+        assert sorted(summary.worker_entries) == [
+            "repro.engine.runner.execute_shard",
+            "repro.engine.runner.execute_shard_live",
+        ]
 
 
 class TestParseErrors:

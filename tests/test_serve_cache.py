@@ -18,6 +18,7 @@ from repro.engine.retry import RetryPolicy
 from repro.engine.runner import ShardTask
 from repro.engine.sharding import ShardSpec
 from repro.engine.study import shard_cache_key
+from repro.faults.service import ServiceFaultPlan, get_service_profile
 from repro.serve import DiskShardCache, MemoryShardCache, decode_entry, encode_entry
 from repro.serve.cache import CACHE_ENVELOPE_VERSION
 from repro.sim import WorldConfig
@@ -68,6 +69,13 @@ class TestShardCacheKey:
         # level must be part of the key — a trace run never reuses an
         # off-run's (traceless) entry.
         assert shard_cache_key(make_task(obs="trace")) != shard_cache_key(make_task())
+
+    def test_blind_to_containment(self):
+        # A retried or faulted shard computes what a clean run computes, so
+        # it must hit the entries a clean run wrote.
+        plan = ServiceFaultPlan.for_service(7, 3, get_service_profile("chaos"))
+        contained = make_task(attempt=3, faults=plan, contain=True)
+        assert shard_cache_key(contained) == shard_cache_key(make_task())
 
 
 class TestMemoryShardCache:
