@@ -34,6 +34,7 @@ import statistics
 import sys
 import time
 
+from bench_serve import host, wall_block
 from repro.engine import StudySpec, resolve_workers, run_study
 from repro.sim import WorldConfig, build_world
 
@@ -186,38 +187,40 @@ def bench_tracing_overhead(shards: int, workers: int, repeats: int) -> dict:
 
     The ``off`` point measures the cost of the instrumentation *guards*
     (one attribute read and a branch per seam — the NullRecorder path);
-    the ``trace`` point measures full event recording.  Tracing must not
-    change a single dataset byte, so the block asserts SHA equality and
-    records the trace digest alongside the timings.
+    the ``trace`` point measures full event recording.  The two modes
+    alternate within each repeat, and the order flips every repeat, so a
+    host that speeds up or slows down during the benchmark moves both
+    modes alike; ``trace_overhead_pct`` compares their medians.  Tracing
+    must not change a single dataset byte, so the block asserts SHA
+    equality and records the trace digest alongside the timings.
     """
     config = WorldConfig(scale=0.005)
-    points: dict[str, dict] = {}
-    for obs in ("off", "trace"):
-        spec = StudySpec(
-            config=config, seed=1000, shards=shards, workers=workers, obs=obs
-        )
-        wall: list[float] = []
-        run = None
-        for attempt in range(repeats):
+    modes = ("off", "trace")
+    specs = {
+        obs: StudySpec(config=config, seed=1000, shards=shards, workers=workers, obs=obs)
+        for obs in modes
+    }
+    wall: dict[str, list[float]] = {obs: [] for obs in modes}
+    runs = {}
+    for attempt in range(repeats):
+        for obs in modes if attempt % 2 == 0 else modes[::-1]:
             started = time.perf_counter()
-            run = run_study(spec, analyses=False)
-            wall.append(time.perf_counter() - started)
+            runs[obs] = run_study(specs[obs], analyses=False)
+            wall[obs].append(time.perf_counter() - started)
             print(
                 f"  tracing-overhead obs={obs} run {attempt + 1}/{repeats}: "
-                f"{wall[-1]:.1f}s",
+                f"{wall[obs][-1]:.1f}s",
                 flush=True,
             )
-        assert run is not None
+    points: dict[str, dict] = {}
+    for obs in modes:
+        run = runs[obs]
         point = {
             "dataset_summary_sha256": hashlib.sha256(
                 run.dataset_summary().encode("utf-8")
             ).hexdigest(),
             "run_digest": run.digest,
-            "wall_seconds": {
-                "runs": len(wall),
-                "best": round(min(wall), 3),
-                "mean": round(statistics.mean(wall), 3),
-            },
+            "wall_seconds": wall_block(wall[obs]),
         }
         if run.trace is not None:
             point["trace_events"] = len(run.trace)
@@ -229,16 +232,17 @@ def bench_tracing_overhead(shards: int, workers: int, repeats: int) -> dict:
         or points["off"]["run_digest"] != points["trace"]["run_digest"]
     ):
         raise SystemExit("tracing changed the datasets — determinism violation")
-    off_best = points["off"]["wall_seconds"]["best"]
-    trace_best = points["trace"]["wall_seconds"]["best"]
+    off = points["off"]["wall_seconds"]["median"]
+    traced = points["trace"]["wall_seconds"]["median"]
     return {
+        "host": host(),
         "scale": 0.005,
         "shards": shards,
         "workers": workers,
         "seed": 1000,
         "off": points["off"],
         "trace": points["trace"],
-        "trace_overhead_pct": round(100.0 * (trace_best - off_best) / off_best, 1),
+        "trace_overhead_pct": round(100.0 * (traced - off) / off, 1),
     }
 
 

@@ -86,6 +86,8 @@ class FaultInjector:
         self.profile = profile
         self.plan = plan
         self._attempts: dict[str, int] = {}
+        #: The last ``(window, fired)`` offline decision per zID.
+        self._offline: dict[str, tuple[int, bool]] = {}
         self.counters: Counter = Counter()
 
     @classmethod
@@ -123,9 +125,14 @@ class FaultInjector:
     def offline_window(self, zid: str, now: float) -> bool:
         """Whether the node is inside one of its deterministic dark windows."""
         window = int(now // self.profile.offline_window_seconds)
-        fired = self.plan.happens(
-            self.profile.offline_window_rate, "offline", zid, window
-        )
+        last = self._offline.get(zid)
+        if last is not None and last[0] == window:
+            fired = last[1]
+        else:
+            fired = self.plan.happens(
+                self.profile.offline_window_rate, "offline", zid, window
+            )
+            self._offline[zid] = (window, fired)
         if fired:
             self.counters["offline_window"] += 1
         return fired

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import hashlib
 
-#: Hex digits consumed per draw; 13 nibbles = 52 bits, exact in a float.
-_DRAW_NIBBLES = 13
-_DRAW_SPAN = float(16 ** _DRAW_NIBBLES)
+#: A draw is the first 52 bits of the digest (exact in a float) over 2**52.
+_DRAW_SPAN = float(1 << 52)
 
 
 class FaultPlan:
@@ -36,17 +35,21 @@ class FaultPlan:
 
     def __init__(self, seed: str) -> None:
         self.seed = seed
+        #: ``seed + "\x1f" + channel`` by channel: the fixed head of each message.
+        self._prefixes: dict[str, str] = {}
 
     def draw(self, channel: str, *key: object) -> float:
-        """A uniform float in ``[0, 1)``, a pure function of the key."""
-        hasher = hashlib.sha256()
-        hasher.update(self.seed.encode("utf-8"))
-        hasher.update(b"\x1f")
-        hasher.update(channel.encode("utf-8"))
-        for part in key:
-            hasher.update(b"\x1f")
-            hasher.update(repr(part).encode("utf-8"))
-        return int(hasher.hexdigest()[:_DRAW_NIBBLES], 16) / _DRAW_SPAN
+        """A uniform float in ``[0, 1)``, a pure function of the key.
+
+        The hashed message is the seed, the channel and each key part's
+        ``repr``, joined by ``"\\x1f"`` and encoded as UTF-8; the draw is the
+        digest's first 52 bits over ``2**52``.
+        """
+        prefix = self._prefixes.get(channel)
+        if prefix is None:
+            prefix = self._prefixes[channel] = f"{self.seed}\x1f{channel}"
+        digest = hashlib.sha256("\x1f".join([prefix, *map(repr, key)]).encode("utf-8")).digest()
+        return (int.from_bytes(digest[:7], "big") >> 4) / _DRAW_SPAN
 
     def happens(self, probability: float, channel: str, *key: object) -> bool:
         """Whether the fault keyed by ``(channel, key)`` fires."""

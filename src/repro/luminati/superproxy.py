@@ -411,13 +411,13 @@ class SuperProxy:
                 node = None
                 continue
             zid = node.zid
-            if attempts or obs.enabled:
+            if attempts:
                 self._note_attempt(attempts, zid, "ok")
                 debug = self._debug(node, attempts)
                 header = (HEADER_NAME, debug.serialize())
             else:
-                # First attempt succeeded with observability off — reuse the
-                # node's cached debug payload instead of re-serializing it.
+                # First attempt succeeded — reuse the node's cached debug
+                # payload instead of re-serializing it.
                 cached = self._ok_debug.get(zid)
                 if cached is None or cached[0] != node.host.ip:
                     self._note_attempt(attempts, zid, "ok")
@@ -427,6 +427,8 @@ class SuperProxy:
                         debug,
                         (HEADER_NAME, debug.serialize()),
                     )
+                elif obs.enabled:
+                    obs.event("proxy.attempt", actor="superproxy", target=zid, detail="ok")
                 _ip, debug, header = cached
             self.ledger.record(zid, len(response.body))
             if traced:

@@ -40,10 +40,14 @@ ROW_FIELDS = 8
 def freeze_attrs(attrs: Optional[Mapping[str, object]]) -> tuple[str, ...]:
     """Canonicalize an attribute mapping into a row's tail: sorted keys,
     string values, flattened to ``(key1, value1, key2, value2, ...)``."""
+    if not attrs:
+        return ()
+    if len(attrs) == 1:
+        ((key, value),) = attrs.items()
+        return (key, str(value))
     flat: tuple[str, ...] = ()
-    if attrs:
-        for key in sorted(attrs):
-            flat += (key, str(attrs[key]))
+    for key in sorted(attrs):
+        flat += (key, str(attrs[key]))
     return flat
 
 

@@ -136,22 +136,6 @@ class TraceRecorder:
         self._next_span = 0
         self._stack.clear()
 
-    def _emit(
-        self,
-        name: str,
-        kind: str,
-        span: int,
-        parent: int,
-        actor: str,
-        target: str,
-        detail: str,
-        attrs: Optional[Mapping[str, object]],
-    ) -> None:
-        row = (self._clock.now, name, kind, span, parent, actor, target, detail)
-        if attrs:
-            row += freeze_attrs(attrs)
-        self._rows.append(row)
-
     def event(
         self,
         name: str,
@@ -161,8 +145,12 @@ class TraceRecorder:
         attrs: Optional[Mapping[str, object]] = None,
     ) -> None:
         """Record an instant event inside the innermost open span (if any)."""
-        parent = self._stack[-1] if self._stack else 0
-        self._emit(name, KIND_INSTANT, 0, parent, actor, target, detail, attrs)
+        stack = self._stack
+        row = (
+            self._clock.now, name, KIND_INSTANT, 0, stack[-1] if stack else 0,
+            actor, target, detail,
+        )
+        self._rows.append(row + freeze_attrs(attrs) if attrs else row)
 
     def span(
         self,
@@ -173,11 +161,14 @@ class TraceRecorder:
         attrs: Optional[Mapping[str, object]] = None,
     ) -> _Span:
         """Open a span: emits ``begin`` now and ``end`` when the context exits."""
-        parent = self._stack[-1] if self._stack else 0
-        self._next_span += 1
-        span_id = self._next_span
-        self._emit(name, KIND_BEGIN, span_id, parent, actor, target, detail, attrs)
-        self._stack.append(span_id)
+        stack = self._stack
+        self._next_span = span_id = self._next_span + 1
+        row = (
+            self._clock.now, name, KIND_BEGIN, span_id, stack[-1] if stack else 0,
+            actor, target, detail,
+        )
+        self._rows.append(row + freeze_attrs(attrs) if attrs else row)
+        stack.append(span_id)
         return _Span(self, span_id, name, actor, target, detail)
 
     def _end_span(
@@ -192,9 +183,13 @@ class TraceRecorder:
         # Close any spans opened inside and never exited (an exception can
         # skip inner __exit__ only if the inner span was not a context
         # manager; popping to our id keeps the stack consistent regardless).
-        while self._stack and self._stack[-1] != span_id:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        parent = self._stack[-1] if self._stack else 0
-        self._emit(name, KIND_END, span_id, parent, actor, target, detail, attrs)
+        stack = self._stack
+        while stack and stack[-1] != span_id:
+            stack.pop()
+        if stack:
+            stack.pop()
+        row = (
+            self._clock.now, name, KIND_END, span_id, stack[-1] if stack else 0,
+            actor, target, detail,
+        )
+        self._rows.append(row + freeze_attrs(attrs) if attrs else row)

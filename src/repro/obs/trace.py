@@ -1,12 +1,12 @@
 """Run-level trace assembly: one canonical JSONL chunk per shard, one log.
 
-At the end of a shard, :func:`fold_rows` makes a single pass over the
-recorder's rows: it derives the shard's ``obs_*`` metrics and encodes the
-rows into the shard's canonical JSONL chunk.  The chunk rides inside the
-shard's result (so the shard cache and process workers carry it as one
-string), and the run-level :class:`TraceLog` keeps
-the chunks in **shard-index order** — never completion order.  Its JSONL
-serialization is therefore a pure function of the study spec, and
+At the end of a shard, :func:`fold_rows` derives the shard's ``obs_*``
+metrics from the recorder's rows and encodes the rows into the shard's
+canonical JSONL chunk.  The chunk rides inside the shard's result (so the
+shard cache and process workers carry it as one string), and the
+run-level :class:`TraceLog` keeps the chunks in **shard-index order** —
+never completion order.  Its JSONL serialization is therefore a pure
+function of the study spec, and
 :meth:`TraceLog.digest` (SHA-256 over those bytes, fed chunk by chunk) is
 the run's trace identity, recorded in the run metrics.
 
@@ -20,42 +20,97 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT, ROW_FIELDS, freeze_attrs
 from repro.obs.metrics import MetricsRegistry
+
+#: Characters of a chunk encoded per digest update; below glibc's default
+#: 128 KiB threshold for serving an allocation with its own memory mapping.
+_DIGEST_SLICE = 1 << 16
 
 #: ``float.__repr__`` of non-finite values, and their JSON spellings.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def encode_line(row: tuple, seq: int, shard: int) -> str:
-    """One event row as its canonical JSON line (no trailing newline).
+    """One event row as its canonical JSON line (no trailing newline)."""
+    return _encode_chunk((row,), shard, seq)[:-1]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[Any], str], preset: Optional[Mapping] = None) -> None:
+        super().__init__(preset or ())
+        self._make = make
+
+    def __missing__(self, key: object) -> str:
+        value = self[key] = self._make(key)
+        return value
+
+
+def _encode_chunk(rows: Iterable[tuple], shard: int, start: int = 0) -> str:
+    """Rows as canonical JSON lines, each ending in a newline; the first
+    row's ``seq`` is ``start`` and each next row's is one more.
 
     Keys appear in sorted order and default-valued fields (instant kind,
-    zero span/parent, empty strings, no attrs) are omitted, so the bytes
-    equal ``json.dumps`` of the event's compact dict with ``sort_keys``.
+    zero span/parent, empty strings, no attrs) are omitted, so each line
+    equals ``json.dumps`` of the event's compact dict with ``sort_keys``.
+
+    Field values repeat within a shard: names and kinds come from a fixed
+    set, actors and targets are a few hundred zIDs, and a timestamp recurs
+    about six times.  So each text field's JSON text (``"detail":"...",``)
+    is kept in a memo keyed by the field's value, the attribute text by
+    the row's attribute pairs, and the timestamp text by the float; only
+    ``parent``, ``seq`` and ``span`` are formatted per row.  The memos
+    live for one call, one chunk, so they hold at most that chunk's
+    distinct values.  They are keyed by one field each, not by a
+    combination: zIDs make most combinations distinct, and each distinct
+    tuple key is one more object for the cyclic collector to track.  Only
+    non-zero floats go through the timestamp memo: ``0.0`` and ``-0.0``,
+    or ``1`` and ``1.0``, are equal keys that print differently.
     """
-    ts, name, kind, span, parent, actor, target, detail = row[:ROW_FIELDS]
-    line = f'{{"actor":{_quote(actor)},' if actor else "{"
-    if len(row) > ROW_FIELDS:
-        quoted = map(_quote, row[ROW_FIELDS:])
-        line += '"attrs":{' + ",".join([k + ":" + v for k, v in zip(quoted, quoted)]) + "},"
-    if detail:
-        line += f'"detail":{_quote(detail)},'
-    if kind != KIND_INSTANT:
-        line += f'"kind":{_quote(kind)},'
-    line += f'"name":{_quote(name)},'
-    if parent:
-        line += f'"parent":{parent!r},'
-    line += f'"seq":{seq!r},"shard":{shard!r},'
-    if span:
-        line += f'"span":{span!r},'
-    if target:
-        line += f'"target":{_quote(target)},'
-    stamp = repr(ts)
-    return line + f'"ts":{_NON_FINITE.get(stamp, stamp)}}}'
+    actors = _Memo(lambda actor: f'{{"actor":{_quote(actor)},', {"": "{"})
+    attr_sets = _Memo(_attrs_text)
+    details = _Memo(lambda detail: f'"detail":{_quote(detail)},', {"": ""})
+    kinds = _Memo(lambda kind: f'"kind":{_quote(kind)},', {KIND_INSTANT: ""})
+    names = _Memo(lambda name: f'"name":{_quote(name)},')
+    tails = _Memo(lambda target: f'"target":{_quote(target)},"ts":', {"": '"ts":'})
+    stamps = _Memo(_stamp)
+    shard_text = f',"shard":{shard!r},'
+    lines: list[str] = []
+    append = lines.append
+    for seq, row in enumerate(rows, start):
+        ts, name, kind, span, parent, actor, target, detail = row[:ROW_FIELDS]
+        head = actors[actor]
+        if len(row) > ROW_FIELDS:
+            head += attr_sets[row[ROW_FIELDS:]]
+        parent_text = f'"parent":{parent},' if parent else ""
+        span_text = f'"span":{span},' if span else ""
+        stamp = stamps[ts] if ts.__class__ is float and ts else _stamp(ts)
+        append(
+            f"{head}{details[detail]}{kinds[kind]}{names[name]}{parent_text}"
+            f'"seq":{seq}{shard_text}{span_text}{tails[target]}{stamp}}}'
+        )
+    append("")
+    return "\n".join(lines)
+
+
+def _attrs_text(attrs: tuple) -> str:
+    """The ``"attrs":{...},`` text of flattened, sorted attribute pairs."""
+    quoted = map(_quote, attrs)
+    return '"attrs":{' + ",".join([k + ":" + v for k, v in zip(quoted, quoted)]) + "},"
+
+
+def _stamp(ts: float) -> str:
+    """A timestamp as JSON text: ``repr``, with JSON's non-finite spellings."""
+    text = repr(ts)
+    return _NON_FINITE.get(text, text)
 
 
 def row_from_record(record: Mapping) -> tuple:
@@ -75,7 +130,7 @@ def row_from_record(record: Mapping) -> tuple:
 def fold_rows(
     rows: Sequence[tuple], registry: MetricsRegistry, shard: Optional[int] = None
 ) -> Optional[str]:
-    """One pass over a shard's rows: derive its metrics, encode its chunk.
+    """Fold a shard's rows: derive its metrics, encode its chunk.
 
     Adds the standard ``obs_*`` series to ``registry``:
 
@@ -85,16 +140,15 @@ def fold_rows(
       paired by span id within the stream and observed in event order.
 
     Counts are tallied in the pass and applied once per label.  With
-    ``shard`` given, the same pass encodes the rows (a row's position is
-    its ``seq``) and the shard's canonical JSONL chunk is returned;
-    otherwise the result is ``None``.
+    ``shard`` given, the rows are then encoded (a row's position is its
+    ``seq``) and the shard's canonical JSONL chunk is returned; otherwise
+    the result is ``None``.
     """
     counts: dict[str, int] = {}
     faults: dict[str, int] = {}
     durations: dict[str, list[float]] = {}
     open_spans: dict[int, float] = {}
-    lines: Optional[list[str]] = None if shard is None else []
-    for seq, row in enumerate(rows):
+    for row in rows:
         name = row[1]
         counts[name] = counts.get(name, 0) + 1
         kind = row[2]
@@ -107,8 +161,6 @@ def fold_rows(
         if name == "fault.injected":
             fault = _attr(row, "kind") or "unknown"
             faults[fault] = faults.get(fault, 0) + 1
-        if lines is not None:
-            lines.append(encode_line(row, seq, shard))  # type: ignore[arg-type]
     for name, count in counts.items():
         registry.counter("obs_events_total", count, help="events recorded, by name", name=name)
     for fault, count in faults.items():
@@ -120,9 +172,20 @@ def fold_rows(
         registry.observe_all(
             "obs_span_seconds", values, help="span durations in simulated seconds", name=name
         )
-    if lines is None:
-        return None
-    return "\n".join(lines) + "\n" if lines else ""
+    return None if shard is None else _encode_chunk(rows, shard)
+
+
+def _checked_rows(
+    run: Iterable[tuple[int, dict]], shard: int, start: int
+) -> Iterator[tuple]:
+    """The rows of one shard's ``(line number, record)`` run, whose ``seq``
+    numbers must count up from ``start``."""
+    for seq, (lineno, record) in enumerate(run, start):
+        if int(record["seq"]) != seq:
+            raise ValueError(
+                f"line {lineno}: shard {shard} event has seq {record['seq']}, expected {seq}"
+            )
+        yield row_from_record(record)
 
 
 def _attr(row: tuple, key: str) -> Optional[str]:
@@ -166,7 +229,11 @@ class TraceLog:
         """SHA-256 over :meth:`to_jsonl` — the run's trace identity."""
         digest = hashlib.sha256()
         for _index, chunk in self.shards:
-            digest.update(chunk.encode("utf-8"))
+            # Encoded a slice at a time: a whole multi-megabyte chunk's
+            # bytes would be a fresh memory mapping, page-faulted in anew
+            # on every call; slices this small reuse heap memory.
+            for start in range(0, len(chunk), _DIGEST_SLICE):
+                digest.update(chunk[start : start + _DIGEST_SLICE].encode("utf-8"))
         return digest.hexdigest()
 
     @classmethod
@@ -177,20 +244,22 @@ class TraceLog:
         consecutive ``seq`` numbers from 0, as every recorded trace does.
         """
         chunks: dict[int, list[str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            shard = int(record.get("shard", 0))
-            lines = chunks.setdefault(shard, [])
-            if int(record["seq"]) != len(lines):
-                raise ValueError(
-                    f"line {lineno}: shard {shard} event has seq {record['seq']}, "
-                    f"expected {len(lines)}"
-                )
-            lines.append(encode_line(row_from_record(record), len(lines), shard) + "\n")
+        encoded: dict[int, int] = {}
+        records = (
+            (lineno, json.loads(line))
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        )
+        # Each run of consecutive lines from one shard is encoded as one
+        # batch, streamed from the parser; a canonical trace is one run per
+        # shard.
+        for shard, run in groupby(records, key=lambda item: int(item[1].get("shard", 0))):
+            start = encoded.get(shard, 0)
+            chunk = _encode_chunk(_checked_rows(run, shard, start), shard, start)
+            encoded[shard] = start + chunk.count("\n")
+            chunks.setdefault(shard, []).append(chunk)
         return cls.from_shard_payloads(
-            {shard: "".join(lines) for shard, lines in chunks.items()}
+            {shard: "".join(parts) for shard, parts in chunks.items()}
         )
 
     def summarize(self) -> dict:

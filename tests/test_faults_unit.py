@@ -7,7 +7,12 @@ behaviour is observed in isolation.
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     FAILURE_KINDS,
@@ -99,6 +104,70 @@ class TestFaultPlan:
         plan = FaultPlan("seed-1")
         values = [plan.uniform(2.0, 45.0, "s", index) for index in range(100)]
         assert all(2.0 <= value < 45.0 for value in values)
+
+
+def reference_draw(seed: str, channel: str, *key: object) -> float:
+    """The keyed draw as first written: five ``update`` calls per message,
+    then the first 13 hex digits of the digest over ``16**13``."""
+    hasher = hashlib.sha256()
+    hasher.update(seed.encode("utf-8"))
+    hasher.update(b"\x1f")
+    hasher.update(channel.encode("utf-8"))
+    for part in key:
+        hasher.update(b"\x1f")
+        hasher.update(repr(part).encode("utf-8"))
+    return int(hasher.hexdigest()[:13], 16) / float(16**13)
+
+
+#: Text with the separator, non-ASCII and astral characters in it.
+_CHANNEL = st.text(
+    alphabet=st.one_of(st.sampled_from("\x1f\x00é中\U0001f600'\\"), st.characters()),
+    max_size=10,
+)
+_KEY_PART = st.one_of(
+    _CHANNEL,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+)
+
+
+class TestDrawReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=_CHANNEL,
+        channels=st.lists(_CHANNEL, min_size=1, max_size=3),
+        key=st.lists(_KEY_PART, max_size=4),
+    )
+    def test_draw_equals_the_reference(self, seed, channels, key):
+        plan = FaultPlan(seed)
+        # Each channel twice: once through a fresh prefix, once cached.
+        for channel in channels + channels:
+            assert plan.draw(channel, *key) == reference_draw(seed, channel, *key)
+
+
+class TestOfflineWindowMemo:
+    def test_answers_as_the_plan_and_counts_each_firing(self):
+        profile = FaultProfile(
+            name="offline", offline_window_rate=0.5, offline_window_seconds=10.0
+        )
+        injector = FaultInjector(profile, FaultPlan("offline-plan"))
+        # Alternating zIDs that move forward, back and forward through the
+        # same windows, so the per-zID memo both hits and is replaced.
+        calls = [
+            (zid, now)
+            for now in (0.0, 3.0, 9.99, 10.0, 4.0, 25.0, 10.5, 25.5, 99.0, 0.5)
+            for zid in ("z1", "z2", "z3")
+        ]
+        fired = 0
+        for zid, now in calls:
+            want = injector.plan.happens(0.5, "offline", zid, int(now // 10.0))
+            assert injector.offline_window(zid, now) is want
+            fired += want
+            assert injector.counters["offline_window"] == fired
+        assert 0 < fired < len(calls)
 
 
 class TestProfiles:

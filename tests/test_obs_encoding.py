@@ -1,16 +1,20 @@
 """Reference checks for the trace fast path: line encoder and metrics pass.
 
-The recorder stores flat rows and :func:`repro.obs.fold_rows` encodes them
-straight into canonical JSONL and derives the ``obs_*`` metrics in one
-pass.  Both are checked here against the straightforward forms they
-replace: ``json.dumps`` of each event's compact dict (the digest-bearing
-bytes), and the per-event metrics loop, copied below as the reference.
+The recorder stores flat rows and :func:`repro.obs.fold_rows` derives the
+``obs_*`` metrics from them in one pass and encodes them straight into
+canonical JSONL.  Both are checked here against the straightforward forms
+they replace: ``json.dumps`` of each event's compact dict (the
+digest-bearing bytes), and the per-event metrics loop, copied below as
+the reference.  ``TestChunkMemos`` draws chunks whose values repeat, so
+the encoder's per-chunk memos are hit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from repro.obs import (
     KIND_INSTANT,
     Event,
     MetricsRegistry,
+    TraceLog,
     TraceRecorder,
     encode_line,
     fold_rows,
@@ -134,6 +139,95 @@ class TestLineEncoder:
             reference_line(Event.from_row(seq, row), shard) + "\n"
             for seq, row in enumerate(rows)
         )
+
+
+#: A small pool, so that a chunk repeats every field value and its memos
+#: hit.  The same strings serve every text field, so a memo shared between
+#: two fields writes one field's key into the other; two attribute sets
+#: share their keys, so a memo keyed by the keys alone mixes up values.
+_POOL_TEXT = ("", "zid-7", 'q"\\é')
+_POOL_ATTRS = ({}, {"kind": "reset", "port": "443"}, {"kind": "zid-7", "port": ""})
+_POOL_TS = (0.0, -0.0, 0.1 + 0.2, 1e16, math.nan, math.inf)
+_POOL_IDS = (0, 1, 7)
+#: The pool of each fixed row field, in row order.
+_POOL_FIELDS = (
+    _POOL_TS, _POOL_TEXT, (KIND_INSTANT, KIND_BEGIN, KIND_END), _POOL_IDS, _POOL_IDS,
+    _POOL_TEXT, _POOL_TEXT, _POOL_TEXT,
+)
+
+
+@st.composite
+def _pool_rows(draw):
+    row = tuple(draw(st.sampled_from(values)) for values in _POOL_FIELDS)
+    return row + freeze_attrs(draw(st.sampled_from(_POOL_ATTRS)))
+
+
+def reference_chunk(rows, shard: int) -> str:
+    return "".join(
+        reference_line(Event.from_row(seq, row), shard) + "\n" for seq, row in enumerate(rows)
+    )
+
+
+class TestChunkMemos:
+    """The encoder's per-chunk memos, on chunks whose values repeat."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_pool_rows(), min_size=20, max_size=80))
+    def test_repeating_rows_match_json_dumps(self, rows):
+        for shard in (0, 3):
+            assert fold_rows(rows, MetricsRegistry(), shard) == reference_chunk(rows, shard)
+
+    @pytest.mark.parametrize("stamps", [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)])
+    def test_signed_zeros_keep_their_sign(self, stamps):
+        rows = [(ts, "x", KIND_INSTANT, 0, 0, "", "", "") for ts in stamps]
+        assert fold_rows(rows, MetricsRegistry(), 0) == reference_chunk(rows, 0)
+
+    @pytest.mark.parametrize("stamps", [("1.0", "1"), ("1", "1.0")])
+    def test_reparsed_int_and_float_stamps_come_back_as_written(self, stamps):
+        text = "".join(
+            f'{{"name":"x","seq":{seq},"shard":0,"ts":{stamp}}}\n'
+            for seq, stamp in enumerate(stamps)
+        )
+        assert TraceLog.from_jsonl(text).to_jsonl() == text
+
+    def test_interleaved_shards_regroup(self):
+        # Each run of one shard's lines is encoded as its own batch, whose
+        # seq numbers continue from the shard's earlier runs.
+        chunks = {
+            shard: reference_chunk(
+                [(seq + 0.5, "x", KIND_INSTANT, 0, 0, "zid-7", "", "") for seq in range(4)],
+                shard,
+            ).splitlines(keepends=True)
+            for shard in (0, 1)
+        }
+        text = "".join(chunks[0][:1] + chunks[1][:3] + chunks[0][1:] + chunks[1][3:])
+        reparsed = TraceLog.from_jsonl(text)
+        assert reparsed.shards == ((0, "".join(chunks[0])), (1, "".join(chunks[1])))
+
+    def test_memos_last_one_chunk(self):
+        # Values built at run time, so that only this test holds them; a
+        # memo that outlived its chunk would keep a reference to each.
+        actor, detail, target, key, value = ("".join(["live-", part]) for part in "adtkv")
+        ts = float("".join(["12.", "5"]))
+        rows = [
+            (ts, "x", KIND_INSTANT, 0, 0, actor, target, detail, key, value),
+            (ts, "x", KIND_BEGIN, 1, 0, actor, target, detail, key, value),
+        ]
+        held = [sys.getrefcount(item) for item in (actor, detail, target, key, value, ts)]
+        assert fold_rows(rows, MetricsRegistry(), 0) == reference_chunk(rows, 0)
+        assert [sys.getrefcount(item) for item in (actor, detail, target, key, value, ts)] == held
+
+
+class TestTraceDigest:
+    @pytest.mark.parametrize("sizes", [(0, 1), (65_535, 65_537), (200_003, 131_072)])
+    def test_digest_is_the_sha256_of_the_jsonl(self, sizes):
+        # Chunks shorter than, straddling and spanning several of the
+        # slices the digest encodes at a time, one of them not ASCII.
+        trace = TraceLog.from_shard_payloads(
+            {0: "a" * sizes[0] + "\n", 1: "\u00e9\U0001f600" * sizes[1] + "\n"}
+        )
+        expected = hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
+        assert trace.digest() == expected
 
 
 CHAOS_CONFIG = WorldConfig(
