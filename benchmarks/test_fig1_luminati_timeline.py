@@ -7,7 +7,7 @@ traced request and verifies the captured step sequence.
 """
 
 from repro.sim.world import PROBE_ZONE
-from repro.tracing import Timeline, Tracer
+from repro.tracing import Timeline
 
 
 def test_fig1_luminati_request_timeline(benchmark, bench_world, write_report):
@@ -18,9 +18,7 @@ def test_fig1_luminati_request_timeline(benchmark, bench_world, write_report):
         # request so the captured timeline always shows the full path.
         for _ in range(5):
             timeline = Timeline(title="Figure 1: timeline of a request in Luminati")
-            result = bench_world.client.request(
-                url, dns_remote=True, tracer=Tracer(timeline)
-            )
+            result = bench_world.client.request(url, dns_remote=True, timeline=timeline)
             if result.success:
                 return timeline, result
         raise AssertionError("no successful request in five attempts")

@@ -58,7 +58,7 @@ from repro.core.experiments.monitoring import MonitoringExperiment
 from repro.core.reports import render_cdf_ascii, render_table
 from repro.sim import World, WorldConfig, build_world
 
-EXPERIMENTS = ("dns", "http", "https", "monitoring")
+EXPERIMENTS = tuple(export.KINDS)
 
 
 def _build(args: argparse.Namespace) -> World:
@@ -195,19 +195,10 @@ def _print_monitoring_report(world: World, dataset, thresholds: AnalysisThreshol
 
 
 _RUNNERS = {
-    "dns": (DnsHijackExperiment, export.save_dns_dataset, _print_dns_report),
-    "http": (HttpModExperiment, export.save_http_dataset, _print_http_report),
-    "https": (HttpsMitmExperiment, export.save_https_dataset, _print_https_report),
-    "monitoring": (
-        MonitoringExperiment, export.save_monitoring_dataset, _print_monitoring_report,
-    ),
-}
-
-_LOADERS = {
-    "dns": (export.load_dns_dataset, _print_dns_report),
-    "http": (export.load_http_dataset, _print_http_report),
-    "https": (export.load_https_dataset, _print_https_report),
-    "monitoring": (export.load_monitoring_dataset, _print_monitoring_report),
+    "dns": (DnsHijackExperiment, _print_dns_report),
+    "http": (HttpModExperiment, _print_http_report),
+    "https": (HttpsMitmExperiment, _print_https_report),
+    "monitoring": (MonitoringExperiment, _print_monitoring_report),
 }
 
 
@@ -233,7 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for name in wanted:
-        experiment_cls, save, report = _RUNNERS[name]
+        experiment_cls, report = _RUNNERS[name]
         print(f"\n=== {name} experiment ===", flush=True)
         started = time.perf_counter()
         dataset = experiment_cls(world).run()
@@ -244,7 +235,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report(world, dataset, thresholds)
         if out_dir is not None:
             path = out_dir / f"{name}.jsonl"
-            save(dataset, path)
+            export.save_dataset(dataset, path)
             print(f"dataset written to {path}")
     ledger = world.client.ledger
     print(
@@ -343,7 +334,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         assert run.trace is not None
         path = pathlib.Path(args.trace)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(run.trace.to_jsonl(), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as handle:
+            run.trace.write_jsonl(handle)
         print(
             f"trace written to {path} ({len(run.trace)} events, "
             f"digest {run.trace.digest()[:16]}...)"
@@ -512,22 +504,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import TraceLog, export_trace, render_summary
+    from repro.obs import TraceLog, render_summary, write_trace
 
-    trace = TraceLog.from_jsonl(
-        pathlib.Path(args.trace_file).read_text(encoding="utf-8")
-    )
+    with open(args.trace_file, encoding="utf-8") as handle:
+        trace = TraceLog.from_jsonl(handle)
     if args.trace_command == "summarize":
         print(render_summary(trace.summarize()))
         return 0
-    rendered = export_trace(trace, args.format)
     if args.out:
         out = pathlib.Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(rendered, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as handle:
+            write_trace(trace, args.format, handle)
         print(f"{args.format} export written to {out}")
     else:
-        sys.stdout.write(rendered)
+        write_trace(trace, args.format, sys.stdout)
     return 0
 
 
@@ -622,8 +613,8 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    loader, report = _LOADERS[args.experiment]
-    dataset = loader(args.dataset)
+    _experiment_cls, report = _RUNNERS[args.experiment]
+    dataset = export.load_dataset(args.dataset, args.experiment)
     # Reports that need world context (org names, corpus) rebuild the world
     # the dataset was measured on — the same scale/seed must be passed.
     world = _build(args)

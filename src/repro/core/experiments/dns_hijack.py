@@ -20,14 +20,15 @@ zone are prepared:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.crawler import CrawlController
+from repro.core.experiments.dataset import Dataset
 from repro.core.validity import classify_result
 from repro.dnssim.resolver import GooglePublicDns
 from repro.sim.world import DNS_TEST_ZONE, World
-from repro.tracing import Timeline, Tracer
+from repro.tracing import Timeline
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,31 +46,16 @@ class DnsProbeRecord:
 
 
 @dataclass
-class DnsDataset:
+class DnsDataset(Dataset[DnsProbeRecord]):
     """Everything the §4 analysis consumes."""
 
-    records: list[DnsProbeRecord] = field(default_factory=list)
     filtered_google_overlap: int = 0
-    probes: int = 0
     unique_dns_servers: int = 0
-
-    @property
-    def node_count(self) -> int:
-        """Measured exit nodes."""
-        return len(self.records)
 
     @property
     def hijacked_count(self) -> int:
         """Nodes whose NXDOMAIN answer was rewritten."""
         return sum(1 for record in self.records if record.hijacked)
-
-    def as_count(self) -> int:
-        """Distinct ASes of measured nodes."""
-        return len({r.asn for r in self.records if r.asn is not None})
-
-    def country_count(self) -> int:
-        """Distinct (AS-registration) countries of measured nodes."""
-        return len({r.country for r in self.records if r.country is not None})
 
 
 class DnsHijackExperiment:
@@ -109,7 +95,7 @@ class DnsHijackExperiment:
         self,
         country: str,
         session: str,
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
         skip_zids: Optional[set[str]] = None,
     ) -> tuple[Optional[str], Optional[DnsProbeRecord], bool]:
         """Measure one exit node.
@@ -126,7 +112,7 @@ class DnsHijackExperiment:
 
         result1 = world.client.request(
             f"http://{d1}/", country=country, session=session,
-            dns_remote=True, tracer=tracer,
+            dns_remote=True, timeline=timeline,
         )
         if not result1.success or result1.debug is None:
             self.last_failure_kind = classify_result(result1)
@@ -155,7 +141,7 @@ class DnsHijackExperiment:
 
         result2 = world.client.request(
             f"http://{d2}/", country=country, session=session,
-            dns_remote=True, tracer=tracer,
+            dns_remote=True, timeline=timeline,
         )
         if result2.debug is None or result2.debug.zid != zid:
             # Session failover to a different node: discard the measurement.
@@ -212,8 +198,7 @@ class DnsHijackExperiment:
         timeline = Timeline(
             title="Figure 2: NXDOMAIN hijacking measurement via Luminati"
         )
-        tracer = Tracer(timeline)
         country = self.controller.next_country()
         session = self.controller.next_session()
-        self.measure_once(country, session, tracer=tracer)
+        self.measure_once(country, session, timeline=timeline)
         return timeline

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.crawler import CrawlController
+from repro.core.experiments.dataset import Dataset
 from repro.core.validity import classify_result
 from repro.middlebox.http_proxy import proxy_via_token
 from repro.net.ip import str_to_ip
@@ -65,29 +66,14 @@ class HttpProbeRecord:
 
 
 @dataclass
-class HttpDataset:
+class HttpDataset(Dataset[HttpProbeRecord]):
     """Everything the §5 analysis consumes."""
 
-    records: list[HttpProbeRecord] = field(default_factory=list)
-    probes: int = 0
     flagged_ases: set[int] = field(default_factory=set)
-
-    @property
-    def node_count(self) -> int:
-        """Fully measured exit nodes."""
-        return len(self.records)
 
     def modified_count(self, kind: ObjectKind) -> int:
         """Nodes whose object of this kind was modified."""
         return sum(1 for record in self.records if record.modified(kind))
-
-    def as_count(self) -> int:
-        """Distinct ASes of measured nodes."""
-        return len({r.asn for r in self.records if r.asn is not None})
-
-    def country_count(self) -> int:
-        """Distinct countries of measured nodes."""
-        return len({r.country for r in self.records if r.country is not None})
 
     def measured_in_as(self, asn: int) -> list[HttpProbeRecord]:
         """All records for one AS."""

@@ -19,16 +19,17 @@ same node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.crawler import CrawlController
+from repro.core.experiments.dataset import Dataset
 from repro.faults import FaultError
 from repro.luminati.errors import NoPeersError
 from repro.sim.world import SiteRecord, World
 from repro.tlssim.certs import CertificateChain
 from repro.tlssim.validation import validate_chain
-from repro.tracing import Timeline, Tracer
+from repro.tracing import Timeline
 
 SITE_CLASS_POPULAR = "popular"
 SITE_CLASS_UNIVERSITY = "university"
@@ -70,29 +71,13 @@ class HttpsProbeRecord:
 
 
 @dataclass
-class HttpsDataset:
+class HttpsDataset(Dataset[HttpsProbeRecord]):
     """Everything the §6 analysis consumes."""
-
-    records: list[HttpsProbeRecord] = field(default_factory=list)
-    probes: int = 0
-
-    @property
-    def node_count(self) -> int:
-        """Measured exit nodes."""
-        return len(self.records)
 
     @property
     def replaced_count(self) -> int:
         """Nodes that saw at least one replaced certificate."""
         return sum(1 for record in self.records if record.any_replaced)
-
-    def as_count(self) -> int:
-        """Distinct ASes of measured nodes."""
-        return len({r.asn for r in self.records if r.asn is not None})
-
-    def country_count(self) -> int:
-        """Distinct countries of measured nodes."""
-        return len({r.country for r in self.records if r.country is not None})
 
 
 class HttpsMitmExperiment:
@@ -123,7 +108,7 @@ class HttpsMitmExperiment:
         country: str,
         session: str,
         expect_zid: Optional[str],
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
     ) -> tuple[Optional[str], Optional[int], Optional[SiteResult]]:
         """One CONNECT + handshake.  Returns (zid, exit_ip, result)."""
         world = self.world
@@ -135,8 +120,8 @@ class HttpsMitmExperiment:
         if expect_zid is not None and tunnel.zid != expect_zid:
             self.last_failure_kind = "stale"
             return tunnel.zid, tunnel.exit_ip, None
-        if tracer is not None:
-            tracer.add("client", "CONNECT tunnel via exit node", "target server", site.domain)
+        if timeline is not None:
+            timeline.add("client", "CONNECT tunnel via exit node", "target server", site.domain)
         try:
             chain: CertificateChain = tunnel.tls_handshake(site.domain)
         except FaultError as exc:
@@ -145,8 +130,8 @@ class HttpsMitmExperiment:
             self.last_failure_kind = exc.kind
             tunnel.close()
             return tunnel.zid, tunnel.exit_ip, None
-        if tracer is not None:
-            tracer.add("exit node", "fetch certificate", "target server", site.domain)
+        if timeline is not None:
+            timeline.add("exit node", "fetch certificate", "target server", site.domain)
         tunnel.close()
 
         validation = validate_chain(
@@ -182,7 +167,7 @@ class HttpsMitmExperiment:
         country: str,
         session: str,
         skip_zids: Optional[set[str]] = None,
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
     ) -> tuple[Optional[str], Optional[HttpsProbeRecord]]:
         """The two-phase scan of one exit node (Figure 3)."""
         world = self.world
@@ -207,7 +192,7 @@ class HttpsMitmExperiment:
         results: list[SiteResult] = []
         for site, site_class in initial_sites:
             got_zid, got_ip, result = self._handshake(
-                site, site_class, country, session, zid, tracer
+                site, site_class, country, session, zid, timeline
             )
             if got_zid is None or result is None:
                 return got_zid, None  # no peers, or session failover
@@ -218,8 +203,8 @@ class HttpsMitmExperiment:
 
         full_scan = any(result.replaced for result in results)
         if full_scan:
-            if tracer is not None:
-                tracer.add("client", "initial check failed; full 33-site scan", "exit node")
+            if timeline is not None:
+                timeline.add("client", "initial check failed; full 33-site scan", "exit node")
             results = []
             battery = (
                 [(site, SITE_CLASS_POPULAR) for site in popular]
@@ -228,7 +213,7 @@ class HttpsMitmExperiment:
             )
             for site, site_class in battery:
                 got_zid, _got_ip, result = self._handshake(
-                    site, site_class, country, session, zid, tracer
+                    site, site_class, country, session, zid, timeline
                 )
                 if result is None:
                     return zid, None  # node churned away mid-scan
@@ -265,8 +250,7 @@ class HttpsMitmExperiment:
     def trace_single_probe(self) -> Timeline:
         """Capture the Figure 3 timeline for one probe."""
         timeline = Timeline(title="Figure 3: two-phase certificate scan via Luminati")
-        tracer = Tracer(timeline)
         country = self.controller.next_country()
         session = self.controller.next_session()
-        self.measure_once(country, session, tracer=tracer)
+        self.measure_once(country, session, timeline=timeline)
         return timeline

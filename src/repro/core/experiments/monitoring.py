@@ -15,14 +15,15 @@ it), and every other request for the domain is an unexpected one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.crawler import CrawlController
+from repro.core.experiments.dataset import Dataset
 from repro.core.validity import classify_result
 from repro.net.ip import str_to_ip
 from repro.sim.world import PROBE_ZONE, World
-from repro.tracing import Timeline, Tracer
+from repro.tracing import Timeline
 
 #: §7.1: the server is monitored for up to 24 hours after the request.
 WATCH_WINDOW_SECONDS = 24 * 3600.0
@@ -65,29 +66,13 @@ class MonitorProbeRecord:
 
 
 @dataclass
-class MonitoringDataset:
+class MonitoringDataset(Dataset[MonitorProbeRecord]):
     """Everything the §7 analysis consumes."""
-
-    records: list[MonitorProbeRecord] = field(default_factory=list)
-    probes: int = 0
-
-    @property
-    def node_count(self) -> int:
-        """Measured exit nodes."""
-        return len(self.records)
 
     @property
     def monitored_count(self) -> int:
         """Nodes whose probe produced unexpected requests."""
         return sum(1 for record in self.records if record.monitored)
-
-    def as_count(self) -> int:
-        """Distinct ASes of measured nodes."""
-        return len({r.asn for r in self.records if r.asn is not None})
-
-    def country_count(self) -> int:
-        """Distinct countries of measured nodes."""
-        return len({r.country for r in self.records if r.country is not None})
 
 
 class MonitoringExperiment:
@@ -111,7 +96,7 @@ class MonitoringExperiment:
         country: str,
         session: str,
         skip_zids: Optional[set[str]] = None,
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
         only_zid: Optional[str] = None,
     ) -> Optional[str]:
         """Issue one unique-domain probe; log analysis happens later.
@@ -123,10 +108,10 @@ class MonitoringExperiment:
         """
         self.last_failure_kind = None
         domain = f"m-{self._tag}-{next(self._probe_counter)}.{PROBE_ZONE}"
-        if tracer is not None:
-            tracer.add("client", "request unique domain", "super proxy", domain)
+        if timeline is not None:
+            timeline.add("client", "request unique domain", "super proxy", domain)
         result = self.world.client.request(
-            f"http://{domain}/", country=country, session=session, tracer=tracer
+            f"http://{domain}/", country=country, session=session, timeline=timeline
         )
         if not result.success or result.debug is None:
             self.last_failure_kind = classify_result(result)
@@ -136,9 +121,9 @@ class MonitoringExperiment:
             return zid
         if only_zid is not None and zid != only_zid:
             return zid
-        if tracer is not None:
-            tracer.add("exit node", "fetch content", "measurement server", domain)
-            tracer.add("monitoring entity", "observes request", "", domain)
+        if timeline is not None:
+            timeline.add("exit node", "fetch content", "measurement server", domain)
+            timeline.add("monitoring entity", "observes request", "", domain)
         self._pending[zid] = (domain, str_to_ip(result.debug.exit_ip))
         return zid
 
@@ -218,10 +203,9 @@ class MonitoringExperiment:
     def trace_single_probe(self) -> Timeline:
         """Capture the Figure 4 timeline for one probe."""
         timeline = Timeline(title="Figure 4: content-monitoring measurement via Luminati")
-        tracer = Tracer(timeline)
         country = self.controller.next_country()
         session = self.controller.next_session()
-        self.probe_once(country, session, tracer=tracer)
+        self.probe_once(country, session, timeline=timeline)
         self.world.internet.advance(WATCH_WINDOW_SECONDS + 1.0)
         timeline.add("monitoring entity", "re-fetches content", "measurement server")
         return timeline

@@ -7,16 +7,17 @@ rebuilding the world.  Binary payloads (hijack pages, modified bodies) are
 base64-encoded; record order is preserved.
 
 The per-record row codecs (``*_record_to_row`` / ``*_record_from_row``) are
-the single source of truth for the wire shape.  Two forms are built on
-them.  The dict form (``dataset_to_dict`` / ``dataset_from_dict``) is what
-the JSONL files here hold.  The line form (:func:`dataset_to_lines` /
-:func:`dataset_from_lines`) is what the execution engine's shard cache
-stores and its workers ship back: the dataset's header fields, plus each
-record once as its canonical JSON line with its zID beside it.  A canonical
-line is exactly the bytes ``json.dumps(row, sort_keys=True,
-separators=(",", ":"))`` gives for the record's row, so a run summary can
-splice stored lines instead of re-encoding records, and a dataset
-round-trips identically through either form.
+the single source of truth for the wire shape, and :data:`KINDS` holds
+every other per-kind fact.  A dataset has one wire form, the line form
+(:func:`dataset_to_lines` / :func:`dataset_from_lines`): its header fields,
+plus each record once as its canonical JSON line with its zID beside it.  A
+canonical line is exactly the bytes ``json.dumps(row, sort_keys=True,
+separators=(",", ":"))`` gives for the record's row.  The execution
+engine's shard cache stores this form and its workers ship it back, so a
+run summary can splice stored lines instead of re-encoding records.  A
+dataset file (:func:`save_dataset` / :func:`load_dataset`) is the header
+as one canonical line followed by the record lines.  Files written with
+``json.dumps``' default separators hold the same keys and load the same.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from __future__ import annotations
 import base64
 import json
 import pathlib
-from typing import Any, Callable, Iterable, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Union
 
+from repro.core.experiments.dataset import Dataset
 from repro.core.experiments.dns_hijack import DnsDataset, DnsProbeRecord
 from repro.core.experiments.http_mod import HttpDataset, HttpProbeRecord
 from repro.core.experiments.https_mitm import HttpsDataset, HttpsProbeRecord, SiteResult
@@ -38,9 +41,6 @@ from repro.web.content import ObjectKind
 
 PathLike = Union[str, pathlib.Path]
 
-#: Any of the four experiment datasets.
-Dataset = Union[DnsDataset, HttpDataset, HttpsDataset, MonitoringDataset]
-
 
 def _encode(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
@@ -48,29 +48,6 @@ def _encode(data: bytes) -> str:
 
 def _decode(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
-
-
-def _write_lines(path: PathLike, header: dict, rows: Iterable[dict]) -> int:
-    target = pathlib.Path(path)
-    count = 0
-    with target.open("w", encoding="ascii") as handle:
-        handle.write(json.dumps(header) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
-            count += 1
-    return count
-
-
-def _read_lines(path: PathLike, expected_kind: str) -> tuple[dict, list[dict]]:
-    lines = pathlib.Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    if header.get("kind") != expected_kind:
-        raise ValueError(
-            f"{path}: expected a {expected_kind!r} dataset, got {header.get('kind')!r}"
-        )
-    return header, [json.loads(line) for line in lines[1:]]
 
 
 # -- DNS ---------------------------------------------------------------------
@@ -113,36 +90,12 @@ def _dns_header(dataset: DnsDataset) -> dict:
     }
 
 
-def dns_dataset_to_dict(dataset: DnsDataset) -> dict:
-    """A §4 dataset as one JSON-able dict (header + records)."""
-    return {
-        **_dns_header(dataset),
-        "records": [dns_record_to_row(r) for r in dataset.records],
-    }
-
-
-def dns_dataset_from_dict(payload: dict) -> DnsDataset:
-    """Inverse of :func:`dns_dataset_to_dict`."""
-    dataset = DnsDataset(
-        filtered_google_overlap=payload["filtered_google_overlap"],
-        probes=payload["probes"],
-        unique_dns_servers=payload["unique_dns_servers"],
+def _dns_from_header(header: dict) -> DnsDataset:
+    return DnsDataset(
+        filtered_google_overlap=header["filtered_google_overlap"],
+        probes=header["probes"],
+        unique_dns_servers=header["unique_dns_servers"],
     )
-    dataset.records.extend(dns_record_from_row(row) for row in payload["records"])
-    return dataset
-
-
-def save_dns_dataset(dataset: DnsDataset, path: PathLike) -> int:
-    """Write a §4 dataset; returns the number of records written."""
-    payload = dns_dataset_to_dict(dataset)
-    rows = payload.pop("records")
-    return _write_lines(path, payload, rows)
-
-
-def load_dns_dataset(path: PathLike) -> DnsDataset:
-    """Read a §4 dataset written by :func:`save_dns_dataset`."""
-    header, rows = _read_lines(path, "dns")
-    return dns_dataset_from_dict({**header, "records": rows})
 
 
 # -- HTTP --------------------------------------------------------------------
@@ -186,34 +139,8 @@ def _http_header(dataset: HttpDataset) -> dict:
     }
 
 
-def http_dataset_to_dict(dataset: HttpDataset) -> dict:
-    """A §5 dataset as one JSON-able dict (header + records)."""
-    return {
-        **_http_header(dataset),
-        "records": [http_record_to_row(r) for r in dataset.records],
-    }
-
-
-def http_dataset_from_dict(payload: dict) -> HttpDataset:
-    """Inverse of :func:`http_dataset_to_dict`."""
-    dataset = HttpDataset(
-        probes=payload["probes"], flagged_ases=set(payload["flagged_ases"])
-    )
-    dataset.records.extend(http_record_from_row(row) for row in payload["records"])
-    return dataset
-
-
-def save_http_dataset(dataset: HttpDataset, path: PathLike) -> int:
-    """Write a §5 dataset; returns the number of records written."""
-    payload = http_dataset_to_dict(dataset)
-    rows = payload.pop("records")
-    return _write_lines(path, payload, rows)
-
-
-def load_http_dataset(path: PathLike) -> HttpDataset:
-    """Read a §5 dataset written by :func:`save_http_dataset`."""
-    header, rows = _read_lines(path, "http")
-    return http_dataset_from_dict({**header, "records": rows})
+def _http_from_header(header: dict) -> HttpDataset:
+    return HttpDataset(probes=header["probes"], flagged_ases=set(header["flagged_ases"]))
 
 
 # -- HTTPS -------------------------------------------------------------------
@@ -271,32 +198,8 @@ def _https_header(dataset: HttpsDataset) -> dict:
     return {"kind": "https", "probes": dataset.probes}
 
 
-def https_dataset_to_dict(dataset: HttpsDataset) -> dict:
-    """A §6 dataset as one JSON-able dict (header + records)."""
-    return {
-        **_https_header(dataset),
-        "records": [https_record_to_row(r) for r in dataset.records],
-    }
-
-
-def https_dataset_from_dict(payload: dict) -> HttpsDataset:
-    """Inverse of :func:`https_dataset_to_dict`."""
-    dataset = HttpsDataset(probes=payload["probes"])
-    dataset.records.extend(https_record_from_row(row) for row in payload["records"])
-    return dataset
-
-
-def save_https_dataset(dataset: HttpsDataset, path: PathLike) -> int:
-    """Write a §6 dataset; returns the number of records written."""
-    payload = https_dataset_to_dict(dataset)
-    rows = payload.pop("records")
-    return _write_lines(path, payload, rows)
-
-
-def load_https_dataset(path: PathLike) -> HttpsDataset:
-    """Read a §6 dataset written by :func:`save_https_dataset`."""
-    header, rows = _read_lines(path, "https")
-    return https_dataset_from_dict({**header, "records": rows})
+def _https_from_header(header: dict) -> HttpsDataset:
+    return HttpsDataset(probes=header["probes"])
 
 
 # -- Monitoring --------------------------------------------------------------
@@ -343,74 +246,70 @@ def _monitoring_header(dataset: MonitoringDataset) -> dict:
     return {"kind": "monitoring", "probes": dataset.probes}
 
 
-def monitoring_dataset_to_dict(dataset: MonitoringDataset) -> dict:
-    """A §7 dataset as one JSON-able dict (header + records)."""
-    return {
-        **_monitoring_header(dataset),
-        "records": [monitoring_record_to_row(r) for r in dataset.records],
-    }
+def _monitoring_from_header(header: dict) -> MonitoringDataset:
+    return MonitoringDataset(probes=header["probes"])
 
 
-def monitoring_dataset_from_dict(payload: dict) -> MonitoringDataset:
-    """Inverse of :func:`monitoring_dataset_to_dict`."""
-    dataset = MonitoringDataset(probes=payload["probes"])
-    dataset.records.extend(monitoring_record_from_row(row) for row in payload["records"])
-    return dataset
+# -- the kind table -------------------------------------------------------------
 
 
-def save_monitoring_dataset(dataset: MonitoringDataset, path: PathLike) -> int:
-    """Write a §7 dataset; returns the number of records written."""
-    payload = monitoring_dataset_to_dict(dataset)
-    rows = payload.pop("records")
-    return _write_lines(path, payload, rows)
+@dataclass(frozen=True, slots=True)
+class DatasetKind:
+    """Everything the wire form knows about one experiment's dataset."""
+
+    dataset_type: type[Dataset]
+    #: The dataset's header fields, ``kind`` included, JSON-able.
+    header: Callable[[Any], dict]
+    #: A record-less dataset from a header (inverse of ``header``).
+    from_header: Callable[[dict], Dataset]
+    to_row: Callable[[Any], dict]
+    from_row: Callable[[dict], Any]
 
 
-def load_monitoring_dataset(path: PathLike) -> MonitoringDataset:
-    """Read a §7 dataset written by :func:`save_monitoring_dataset`."""
-    header, rows = _read_lines(path, "monitoring")
-    return monitoring_dataset_from_dict({**header, "records": rows})
-
-
-# -- kind dispatch ------------------------------------------------------------
-
-#: kind -> (dataset_to_dict, dataset_from_dict), for generic dispatch.
-DATASET_CODECS = {
-    "dns": (dns_dataset_to_dict, dns_dataset_from_dict),
-    "http": (http_dataset_to_dict, http_dataset_from_dict),
-    "https": (https_dataset_to_dict, https_dataset_from_dict),
-    "monitoring": (monitoring_dataset_to_dict, monitoring_dataset_from_dict),
-}
-
-#: kind -> (dataset type, header fields, record_to_row).
-_KINDS: dict[str, tuple[type, Callable[[Any], dict], Callable[[Any], dict]]] = {
-    "dns": (DnsDataset, _dns_header, dns_record_to_row),
-    "http": (HttpDataset, _http_header, http_record_to_row),
-    "https": (HttpsDataset, _https_header, https_record_to_row),
-    "monitoring": (MonitoringDataset, _monitoring_header, monitoring_record_to_row),
+#: kind name -> its facts, in the paper's section order.
+KINDS: dict[str, DatasetKind] = {
+    "dns": DatasetKind(
+        DnsDataset, _dns_header, _dns_from_header, dns_record_to_row, dns_record_from_row
+    ),
+    "http": DatasetKind(
+        HttpDataset, _http_header, _http_from_header, http_record_to_row, http_record_from_row
+    ),
+    "https": DatasetKind(
+        HttpsDataset, _https_header, _https_from_header,
+        https_record_to_row, https_record_from_row,
+    ),
+    "monitoring": DatasetKind(
+        MonitoringDataset, _monitoring_header, _monitoring_from_header,
+        monitoring_record_to_row, monitoring_record_from_row,
+    ),
 }
 
 
-def _kind_of(dataset: Dataset) -> str:
-    for kind, (dataset_type, _header, _to_row) in _KINDS.items():
-        if isinstance(dataset, dataset_type):
+def _kind(name: str) -> DatasetKind:
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise ValueError(f"unknown dataset kind: {name!r}") from None
+
+
+def _kind_of(dataset: Dataset) -> DatasetKind:
+    for kind in KINDS.values():
+        if isinstance(dataset, kind.dataset_type):
             return kind
     raise TypeError(f"not an experiment dataset: {type(dataset)!r}")
 
 
-def dataset_to_dict(dataset: Dataset) -> dict:
-    """Serialize any experiment dataset to its JSON-able dict form."""
-    return DATASET_CODECS[_kind_of(dataset)][0](dataset)  # type: ignore[arg-type]
+def empty_dataset(name: str) -> Dataset:
+    """A zero-record dataset of the named kind."""
+    return _kind(name).dataset_type()
 
 
-def dataset_from_dict(payload: dict) -> Dataset:
-    """Deserialize a dict produced by :func:`dataset_to_dict`."""
-    kind = payload.get("kind")
-    if kind not in DATASET_CODECS:
-        raise ValueError(f"unknown dataset kind: {kind!r}")
-    return DATASET_CODECS[kind][1](payload)
+def dataset_from_header(header: dict) -> Dataset:
+    """A record-less dataset carrying ``header``'s fields."""
+    return _kind(header.get("kind")).from_header(header)
 
 
-# -- line form (engine shard cache) --------------------------------------------
+# -- line form -------------------------------------------------------------------
 
 #: The one encoder behind every canonical line: sorted keys, compact
 #: separators, and the default ``ensure_ascii``/``allow_nan``, so a line is
@@ -422,18 +321,19 @@ LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def dataset_to_lines(dataset: Dataset) -> dict:
     """A dataset in line form, JSON-able.
 
-    ``{"header": …, "zids": […], "lines": […]}``: ``header`` is the dict
-    form without its records, and each record appears once, as its
-    canonical line (see :data:`LINE_ENCODER`) in record order, with its zID
-    at the same position in ``zids``.  A §4 dataset also carries
-    ``resolvers``, its sorted distinct resolver IPs, so merged shards can
-    count unique resolvers without parsing a line.
+    ``{"header": …, "zids": […], "lines": […]}``: ``header`` is the
+    dataset's header fields, and each record appears once, as its canonical
+    line (see :data:`LINE_ENCODER`) in record order, with its zID at the
+    same position in ``zids``.  A §4 dataset also carries ``resolvers``,
+    its sorted distinct resolver IPs, so merged shards can count unique
+    resolvers without parsing a line.
     """
-    _type, header, to_row = _KINDS[_kind_of(dataset)]
+    kind = _kind_of(dataset)
     encode = LINE_ENCODER.encode
+    to_row = kind.to_row
     records = dataset.records
     payload: dict = {
-        "header": header(dataset),
+        "header": kind.header(dataset),
         "zids": [record.zid for record in records],
         "lines": [encode(to_row(record)) for record in records],
     }
@@ -443,6 +343,37 @@ def dataset_to_lines(dataset: Dataset) -> dict:
 
 
 def dataset_from_lines(payload: dict) -> Dataset:
-    """Inverse of :func:`dataset_to_lines`: decode every line, in order."""
+    """Inverse of :func:`dataset_to_lines`: decode every line, in order.
+
+    Only ``header`` and ``lines`` are read.
+    """
+    header = payload["header"]
+    kind = _kind(header.get("kind"))
+    dataset = kind.from_header(header)
     rows = json.loads("[" + ",".join(payload["lines"]) + "]")
-    return dataset_from_dict({**payload["header"], "records": rows})
+    dataset.records.extend(map(kind.from_row, rows))
+    return dataset
+
+
+# -- files -----------------------------------------------------------------------
+
+
+def save_dataset(dataset: Dataset, path: PathLike) -> int:
+    """Write a dataset file; returns the number of records written."""
+    payload = dataset_to_lines(dataset)
+    with pathlib.Path(path).open("w", encoding="ascii") as handle:
+        handle.write(LINE_ENCODER.encode(payload["header"]) + "\n")
+        for line in payload["lines"]:
+            handle.write(line + "\n")
+    return len(payload["lines"])
+
+
+def load_dataset(path: PathLike, kind: str) -> Dataset:
+    """Read a dataset file of the named kind written by :func:`save_dataset`."""
+    lines = pathlib.Path(path).read_text(encoding="ascii").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty dataset file")
+    header = json.loads(lines[0])
+    if header.get("kind") != kind:
+        raise ValueError(f"{path}: expected a {kind!r} dataset, got {header.get('kind')!r}")
+    return dataset_from_lines({"header": header, "lines": lines[1:]})

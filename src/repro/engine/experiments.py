@@ -15,8 +15,8 @@ adapter here drives the same ``measure_once``-style primitives at one
   confirmation (see :class:`~repro.core.validity.ValidityPolicy`); the
   record is discarded and the node is terminal for this plan entry.
 
-Adapters accumulate records internally; :meth:`finish` returns the shard's
-dataset for its slice of the plan.
+Adapters accumulate kept records in a dataset of their kind;
+:meth:`finish` returns it for the shard's slice of the plan.
 
 When the run's :class:`ValidityPolicy` demands confirmations, a successful
 measurement is repeated through fresh pinned sessions and its *violation
@@ -29,12 +29,14 @@ only genuinely unstable observations are rejected.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol
 
+from repro.core.experiments.dataset import Dataset
 from repro.core.experiments.dns_hijack import DnsDataset, DnsHijackExperiment
 from repro.core.experiments.http_mod import HttpDataset, HttpModExperiment
-from repro.core.experiments.https_mitm import HttpsDataset, HttpsMitmExperiment
-from repro.core.experiments.monitoring import MonitoringDataset, MonitoringExperiment
+from repro.core.experiments.https_mitm import HttpsMitmExperiment
+from repro.core.experiments.monitoring import MonitoringExperiment
+from repro.core.export import empty_dataset
 from repro.core.validity import ValidityPolicy
 from repro.faults import KIND_STALE
 from repro.sim.world import World
@@ -51,8 +53,6 @@ CONFIRM_LANDING_TRIES = 4
 #: Canonical execution order within a shard — part of the run's determinism
 #: contract, so it is fixed here rather than left to dict ordering.
 EXPERIMENT_ORDER = ("dns", "http", "https", "monitoring")
-
-Dataset = Union[DnsDataset, HttpDataset, HttpsDataset, MonitoringDataset]
 
 
 class PlanAdapter(Protocol):
@@ -76,19 +76,24 @@ class PlanAdapter(Protocol):
 
 
 class _AdapterBase:
-    """Session minting, probe accounting, and consensus confirmation.
+    """Session minting, probe accounting, consensus confirmation, and the
+    dataset kept records go to.
 
-    Subclasses implement ``_measure`` (one raw measurement, returning a
-    verdict and the would-be record *without* keeping it), ``_keep`` (commit
-    a record to the dataset), and ``_signature`` (the violation-relevant
+    Subclasses set ``name`` and ``experiment_type`` and implement
+    ``_measure`` (one raw measurement, returning a verdict and the would-be
+    record *without* keeping it) and ``_signature`` (the violation-relevant
     projection confirmations must agree on).
     """
 
-    def __init__(self, experiment, world: World, validity: ValidityPolicy) -> None:
-        self._experiment = experiment
+    name: str
+    experiment_type: type
+
+    def __init__(self, world: World, seed: int, validity: ValidityPolicy) -> None:
+        self._experiment = self.experiment_type(world, seed=seed)
         self._world = world
         self._validity = validity
         self._probes = 0
+        self._dataset: Dataset = empty_dataset(self.name)
         self.last_failure_kind: Optional[str] = None
 
     def next_session(self) -> str:
@@ -100,9 +105,6 @@ class _AdapterBase:
     # -- subclass hooks -----------------------------------------------------
 
     def _measure(self, zid: str, country: str, session: str):
-        raise NotImplementedError
-
-    def _keep(self, record) -> None:
         raise NotImplementedError
 
     def _signature(self, record):
@@ -124,8 +126,13 @@ class _AdapterBase:
             if confirmed != ATTEMPT_OK:
                 return confirmed
         if record is not None:
-            self._keep(record)
+            self._dataset.records.append(record)
         return ATTEMPT_OK
+
+    def finish(self) -> Dataset:
+        """Close out the shard's slice and return its dataset."""
+        self._dataset.probes = self._probes
+        return self._dataset
 
     def _confirm(self, zid: str, country: str, reference) -> str:
         """Repeat the measurement until the policy's consensus is met.
@@ -164,10 +171,9 @@ class DnsPlanAdapter(_AdapterBase):
     """§4 NXDOMAIN hijacking, plan-driven."""
 
     name = "dns"
+    experiment_type = DnsHijackExperiment
 
-    def __init__(self, world: World, seed: int, validity: ValidityPolicy) -> None:
-        super().__init__(DnsHijackExperiment(world, seed=seed), world, validity)
-        self._dataset = DnsDataset()
+    _dataset: DnsDataset
 
     def _measure(self, zid: str, country: str, session: str):
         self._count_probe()
@@ -181,9 +187,6 @@ class DnsPlanAdapter(_AdapterBase):
             return ATTEMPT_RETRY, None
         return ATTEMPT_OK, record
 
-    def _keep(self, record) -> None:
-        self._dataset.records.append(record)
-
     def _signature(self, record):
         # Probe domains are minted fresh per measurement, so the hijack
         # landing page may embed different names; the hijack verdict itself
@@ -191,7 +194,7 @@ class DnsPlanAdapter(_AdapterBase):
         return record.hijacked
 
     def finish(self) -> DnsDataset:
-        self._dataset.probes = self._probes
+        super().finish()
         self._dataset.unique_dns_servers = len(
             {r.dns_server_ip for r in self._dataset.records}
         )
@@ -207,10 +210,9 @@ class HttpPlanAdapter(_AdapterBase):
     """
 
     name = "http"
+    experiment_type = HttpModExperiment
 
-    def __init__(self, world: World, seed: int, validity: ValidityPolicy) -> None:
-        super().__init__(HttpModExperiment(world, seed=seed), world, validity)
-        self._dataset = HttpDataset()
+    _dataset: HttpDataset
 
     def _measure(self, zid: str, country: str, session: str):
         self._count_probe()
@@ -221,9 +223,6 @@ class HttpPlanAdapter(_AdapterBase):
             return ATTEMPT_RETRY, None
         return ATTEMPT_OK, record
 
-    def _keep(self, record) -> None:
-        self._dataset.records.append(record)
-
     def _signature(self, record):
         return (
             tuple(sorted(kind.name for kind in record.modified_bodies)),
@@ -232,7 +231,7 @@ class HttpPlanAdapter(_AdapterBase):
         )
 
     def finish(self) -> HttpDataset:
-        self._dataset.probes = self._probes
+        super().finish()
         self._dataset.flagged_ases = self._experiment.flagged_ases
         return self._dataset
 
@@ -241,10 +240,7 @@ class HttpsPlanAdapter(_AdapterBase):
     """§6 certificate replacement, plan-driven."""
 
     name = "https"
-
-    def __init__(self, world: World, seed: int, validity: ValidityPolicy) -> None:
-        super().__init__(HttpsMitmExperiment(world, seed=seed), world, validity)
-        self._dataset = HttpsDataset()
+    experiment_type = HttpsMitmExperiment
 
     def _measure(self, zid: str, country: str, session: str):
         self._count_probe()
@@ -252,9 +248,6 @@ class HttpsPlanAdapter(_AdapterBase):
         if got != zid or record is None:
             return ATTEMPT_RETRY, None
         return ATTEMPT_OK, record
-
-    def _keep(self, record) -> None:
-        self._dataset.records.append(record)
 
     def _signature(self, record):
         # The initial three-site sample is drawn randomly per measurement, so
@@ -264,10 +257,6 @@ class HttpsPlanAdapter(_AdapterBase):
             record.any_replaced,
             tuple(sorted({site.issuer_cn for site in record.replaced_sites()})),
         )
-
-    def finish(self) -> HttpsDataset:
-        self._dataset.probes = self._probes
-        return self._dataset
 
 
 class MonitoringPlanAdapter(_AdapterBase):
@@ -281,10 +270,7 @@ class MonitoringPlanAdapter(_AdapterBase):
     """
 
     name = "monitoring"
-
-    def __init__(self, world: World, seed: int, validity: ValidityPolicy) -> None:
-        super().__init__(MonitoringExperiment(world, seed=seed), world, validity)
-        self._dataset = MonitoringDataset()
+    experiment_type = MonitoringExperiment
 
     def attempt(self, zid: str, country: str, session: str) -> str:
         self.last_failure_kind = None
@@ -297,10 +283,9 @@ class MonitoringPlanAdapter(_AdapterBase):
             return ATTEMPT_RETRY
         return ATTEMPT_OK
 
-    def finish(self) -> MonitoringDataset:
+    def finish(self) -> Dataset:
         self._dataset.records.extend(self._experiment.resolve_pending())
-        self._dataset.probes = self._probes
-        return self._dataset
+        return super().finish()
 
 
 _ADAPTERS = {
@@ -323,14 +308,3 @@ def make_adapter(
     except KeyError:
         raise ValueError(f"unknown experiment: {name!r}") from None
     return factory(world, seed, validity if validity is not None else ValidityPolicy())
-
-
-def empty_dataset(name: str) -> Optional[Dataset]:
-    """A zero-record dataset of the experiment's kind (for empty merges)."""
-    types = {
-        "dns": DnsDataset,
-        "http": HttpDataset,
-        "https": HttpsDataset,
-        "monitoring": MonitoringDataset,
-    }
-    return types[name]() if name in types else None

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.core.experiments.dataset import Dataset
 from repro.core.export import dataset_to_lines
 from repro.core.validity import NodeHealth, ValidityPolicy
 from repro.engine.experiments import (
@@ -30,7 +31,6 @@ from repro.engine.experiments import (
     ATTEMPT_OK,
     ATTEMPT_RETRY,
     ATTEMPT_SKIP,
-    Dataset,
     PlanAdapter,
     make_adapter,
 )

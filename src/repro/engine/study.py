@@ -36,18 +36,20 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Protocol, Union
 
 from repro.core.crawler import DEFAULT_STOP_THRESHOLD, DEFAULT_WINDOW, CrawlController
+from repro.core.experiments.dataset import Dataset
 from repro.core.experiments.dns_hijack import DnsDataset
 from repro.core.experiments.http_mod import HttpDataset
 from repro.core.export import (
     LINE_ENCODER,
-    dataset_from_dict,
+    dataset_from_header,
     dataset_from_lines,
     dataset_to_lines,
+    empty_dataset,
 )
 from repro.core.study import StudyResults, assemble_results
 from repro.core.validity import ValidityPolicy
 from repro.engine.executor import Executor, make_executor, resolve_workers
-from repro.engine.experiments import EXPERIMENT_ORDER, Dataset, empty_dataset
+from repro.engine.experiments import EXPERIMENT_ORDER
 from repro.engine.metrics import RunReport, ShardMetrics
 from repro.engine.retry import RetryPolicy
 from repro.engine.runner import SHARD_FAILED, ShardTask, execute_shard, execute_shard_live
@@ -307,17 +309,16 @@ def merge_shard_results(results_by_index: Mapping[int, dict]) -> dict[str, Merge
 def _add_header(merged: Dataset, part: Dataset) -> None:
     """Fold one shard's summable header fields into ``merged``."""
     merged.probes += part.probes
-    if isinstance(merged, DnsDataset):
-        merged.filtered_google_overlap += part.filtered_google_overlap  # type: ignore[union-attr]
-    elif isinstance(merged, HttpDataset):
-        merged.flagged_ases |= part.flagged_ases  # type: ignore[union-attr]
+    if isinstance(merged, DnsDataset) and isinstance(part, DnsDataset):
+        merged.filtered_google_overlap += part.filtered_google_overlap
+    elif isinstance(merged, HttpDataset) and isinstance(part, HttpDataset):
+        merged.flagged_ases |= part.flagged_ases
 
 
 def _merge_live(name: str, parts: list[Dataset]) -> Dataset:
     merged = empty_dataset(name)
-    assert merged is not None
     for part in parts:
-        merged.records.extend(part.records)  # type: ignore[arg-type]
+        merged.records.extend(part.records)
         _add_header(merged, part)
     if isinstance(merged, DnsDataset):
         merged.unique_dns_servers = len({r.dns_server_ip for r in merged.records})
@@ -326,7 +327,6 @@ def _merge_live(name: str, parts: list[Dataset]) -> Dataset:
 
 def _merge_lines(name: str, parts: list[dict]) -> dict:
     merged = empty_dataset(name)
-    assert merged is not None
     zids: list[str] = []
     lines: list[str] = []
     resolvers: set[int] = set()
@@ -334,7 +334,7 @@ def _merge_lines(name: str, parts: list[dict]) -> dict:
         zids += part["zids"]
         lines += part["lines"]
         resolvers.update(part.get("resolvers", ()))
-        _add_header(merged, dataset_from_dict({**part["header"], "records": []}))
+        _add_header(merged, dataset_from_header(part["header"]))
     if isinstance(merged, DnsDataset):
         merged.unique_dns_servers = len(resolvers)
     payload = dataset_to_lines(merged)
@@ -356,8 +356,8 @@ def dataset_summary(datasets: Mapping[str, MergedDataset]) -> str:
     its canonical record lines are joined in zID order (a stable sort, so
     equal zIDs keep merge order); live datasets encode their lines first.
     The bytes are those of ``json.dumps(..., sort_keys=True,
-    separators=(",", ":"))`` over every dataset's dict form with its
-    records sorted by zID.
+    separators=(",", ":"))`` over every dataset's header fields plus a
+    ``records`` list of its rows sorted by zID.
     """
     encode = LINE_ENCODER.encode
     experiments = []

@@ -17,7 +17,7 @@ from repro.luminati.headers import TimelineDebug
 from repro.luminati.registry import RegisteredNode
 from repro.luminati.superproxy import ProxyOptions, ProxyResult, SuperProxy
 from repro.tlssim.certs import CertificateChain
-from repro.tracing import Tracer
+from repro.tracing import Timeline
 
 
 #: Approximate bytes a certificate-fetch handshake moves through the tunnel
@@ -83,7 +83,7 @@ class LuminatiClient:
         country: Optional[str] = None,
         session: Optional[str] = None,
         dns_remote: bool = False,
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
     ) -> ProxyResult:
         """Proxy ``GET url`` through an exit node.
 
@@ -96,7 +96,7 @@ class LuminatiClient:
             session=session,
             dns_remote=dns_remote,
         )
-        return self._superproxy.handle_request(options, url, tracer=tracer)
+        return self._superproxy.handle_request(options, url, timeline=timeline)
 
     def request_as(self, username: str, url: str) -> ProxyResult:
         """Proxy a request using raw username-parameter syntax (API parity)."""

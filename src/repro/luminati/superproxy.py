@@ -25,7 +25,7 @@ from repro.luminati.headers import HEADER_NAME, AttemptRecord, TimelineDebug
 from repro.luminati.registry import ExitNodeRegistry, RegisteredNode
 from repro.luminati.session import SessionTable
 from repro.net.ip import IpError, ip_to_str, str_to_ip
-from repro.tracing import Tracer
+from repro.tracing import Timeline
 
 #: §2.3: Luminati retries failed requests with up to five exit nodes total.
 MAX_ATTEMPTS = 5
@@ -255,14 +255,14 @@ class SuperProxy:
         self,
         options: ProxyOptions,
         url: str,
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
     ) -> ProxyResult:
         """Proxy one HTTP request through an exit node (Figure 1's timeline)."""
         obs = self._internet.obs
         if not obs.enabled:
-            return self._handle_request(options, url, tracer)
+            return self._handle_request(options, url, timeline)
         with obs.span("proxy.request", actor="superproxy", detail=url):
-            result = self._handle_request(options, url, tracer)
+            result = self._handle_request(options, url, timeline)
             obs.event(
                 "proxy.result",
                 actor="superproxy",
@@ -282,10 +282,10 @@ class SuperProxy:
         self,
         options: ProxyOptions,
         url: str,
-        tracer: Optional[Tracer] = None,
+        timeline: Optional[Timeline] = None,
     ) -> ProxyResult:
         obs = self._internet.obs
-        traced = tracer is not None
+        traced = timeline is not None
         self._advance_time()
         self.requests_served += 1
         parts = self._url_parts.get(url)
@@ -293,11 +293,11 @@ class SuperProxy:
             parts = self._url_parts[url] = split_http_url(url)
         host, path = parts
         if traced:
-            tracer.add("client", "proxy request", "super proxy", url)
+            timeline.add("client", "proxy request", "super proxy", url)
 
         if self._faults is not None and self._faults.superproxy_error(self.requests_served):
             if traced:
-                tracer.add("super proxy", "502 Bad Gateway", "client")
+                timeline.add("super proxy", "502 Bad Gateway", "client")
             if obs.enabled:
                 obs.event(
                     "proxy.502", actor="superproxy", detail=url,
@@ -317,7 +317,7 @@ class SuperProxy:
                 literal = False
         if not literal:
             if traced:
-                tracer.add("super proxy", "DNS request via Google", "authoritative DNS", host)
+                timeline.add("super proxy", "DNS request via Google", "authoritative DNS", host)
             answer = self._google.resolve_for_superproxy(host, self.ip)
             if obs.enabled:
                 obs.event(
@@ -326,7 +326,7 @@ class SuperProxy:
                 )
             if answer.is_nxdomain or not answer.addresses:
                 if traced:
-                    tracer.add("super proxy", "DNS failure, request rejected", "client")
+                    timeline.add("super proxy", "DNS failure, request rejected", "client")
                 return ProxyResult(
                     status=None, body=b"", error=ERROR_SUPERPROXY_DNS, debug=None
                 )
@@ -354,12 +354,12 @@ class SuperProxy:
                 node = None
                 continue
             if traced:
-                tracer.add("super proxy", "forward request", "exit node", node.zid)
+                timeline.add("super proxy", "forward request", "exit node", node.zid)
             started = self._internet.clock.now
             try:
                 if options.dns_remote:
                     if traced:
-                        tracer.add("exit node", "DNS request", "exit node resolver", host)
+                        timeline.add("exit node", "DNS request", "exit node resolver", host)
                     response = node.host.fetch_http(host, path)
                 else:
                     response = node.host.fetch_http(host, path, dest_ip=resolved_ip)
@@ -369,7 +369,7 @@ class SuperProxy:
                     # name: refuse this node and fail over to the next peer.
                     self._note_attempt(attempts, node.zid, "refused")
                     if traced:
-                        tracer.add("exit node", "SERVFAIL from resolver", "super proxy")
+                        timeline.add("exit node", "SERVFAIL from resolver", "super proxy")
                     self._drop_session(options)
                     node = None
                     continue
@@ -378,8 +378,8 @@ class SuperProxy:
                 # failure, so Luminati reports it rather than retrying.
                 self._note_attempt(attempts, node.zid, "dns_nxdomain")
                 if traced:
-                    tracer.add("exit node", "NXDOMAIN from resolver", "super proxy")
-                    tracer.add("super proxy", "error response", "client")
+                    timeline.add("exit node", "NXDOMAIN from resolver", "super proxy")
+                    timeline.add("super proxy", "error response", "client")
                 return ProxyResult(
                     status=None,
                     body=b"",
@@ -389,7 +389,7 @@ class SuperProxy:
             except FaultError as exc:
                 self._note_attempt(attempts, node.zid, exc.kind)
                 if traced:
-                    tracer.add("exit node", f"fault: {exc.kind}", "super proxy")
+                    timeline.add("exit node", f"fault: {exc.kind}", "super proxy")
                 self._drop_session(options)
                 node = None
                 continue
@@ -406,7 +406,7 @@ class SuperProxy:
                 # client's per-request timeout would.
                 self._note_attempt(attempts, node.zid, KIND_TIMEOUT)
                 if traced:
-                    tracer.add("exit node", "response past deadline", "super proxy")
+                    timeline.add("exit node", "response past deadline", "super proxy")
                 self._drop_session(options)
                 node = None
                 continue
@@ -432,9 +432,9 @@ class SuperProxy:
                 _ip, debug, header = cached
             self.ledger.record(zid, len(response.body))
             if traced:
-                tracer.add("exit node", "fetch content", "web server", url)
-                tracer.add("exit node", "return response", "super proxy")
-                tracer.add("super proxy", "return response", "client")
+                timeline.add("exit node", "fetch content", "web server", url)
+                timeline.add("exit node", "return response", "super proxy")
+                timeline.add("super proxy", "return response", "client")
             headers = response.headers + (header,)
             return ProxyResult(
                 status=response.status,

@@ -26,6 +26,7 @@ from repro.obs.exporters import (
     parse_prometheus_text,
     registry_from_trace,
     render_summary,
+    write_trace,
 )
 from repro.obs.metrics import DEFAULT_BUCKETS, SERVICE_BUCKETS, MetricsRegistry
 from repro.obs.profiling import ProfilingChannel
@@ -65,4 +66,5 @@ __all__ = [
     "parse_prometheus_text",
     "registry_from_trace",
     "render_summary",
+    "write_trace",
 ]

@@ -9,8 +9,9 @@ so exported artifacts inherit the byte-identity guarantee.
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Mapping
+from typing import Iterator, Mapping, TextIO
 
 from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT
 from repro.obs.metrics import MetricsRegistry
@@ -19,6 +20,15 @@ from repro.obs.trace import TraceLog, fold_rows
 #: Chrome trace-event phase codes by event kind.
 _PHASES = {KIND_BEGIN: "B", KIND_END: "E", KIND_INSTANT: "i"}
 
+#: The Chrome trace's keys besides ``traceEvents``, which sorts after both.
+_CHROME_FIELDS = {
+    "displayTimeUnit": "ms",
+    "otherData": {"clock": "simulated", "source": "repro.obs"},
+}
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` as an encoder.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def chrome_trace(trace: TraceLog) -> dict:
     """The Chrome trace-event form: load in ``chrome://tracing`` / Perfetto.
@@ -26,7 +36,11 @@ def chrome_trace(trace: TraceLog) -> dict:
     Simulated seconds become microsecond timestamps; each shard maps to a
     ``pid`` so per-shard span nesting renders as one track per shard.
     """
-    trace_events = []
+    return {**_CHROME_FIELDS, "traceEvents": list(_chrome_events(trace))}
+
+
+def _chrome_events(trace: TraceLog) -> Iterator[dict]:
+    """Each event of :func:`chrome_trace`, in trace order."""
     for line in trace.lines():
         kind = line.get("kind", KIND_INSTANT)
         record: dict = {
@@ -46,17 +60,12 @@ def chrome_trace(trace: TraceLog) -> dict:
         args.update(line.get("attrs", {}))
         if args:
             record["args"] = args
-        trace_events.append(record)
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "simulated", "source": "repro.obs"},
-    }
+        yield record
 
 
 def chrome_trace_json(trace: TraceLog) -> str:
     """Canonical JSON of :func:`chrome_trace`."""
-    return json.dumps(chrome_trace(trace), sort_keys=True, separators=(",", ":")) + "\n"
+    return export_trace(trace, "chrome")
 
 
 def registry_from_trace(trace: TraceLog) -> MetricsRegistry:
@@ -72,23 +81,38 @@ def registry_from_trace(trace: TraceLog) -> MetricsRegistry:
     return registry
 
 
-def export_trace(trace: TraceLog, format: str) -> str:
-    """Render a trace in one of the supported formats.
+def write_trace(trace: TraceLog, format: str, out: TextIO) -> None:
+    """Write a trace in one of the supported formats to a text stream.
 
     ``jsonl`` — the canonical event log (digest-bearing bytes);
-    ``chrome`` — Chrome trace-event JSON;
+    ``chrome`` — Chrome trace-event JSON, the bytes of
+    ``json.dumps(chrome_trace(trace), sort_keys=True, separators=(",",
+    ":"))`` and a newline, written an event at a time (``traceEvents``
+    sorts last, so the other keys go first);
     ``prom`` — Prometheus text exposition of the trace-derived metrics;
     ``snapshot`` — canonical JSON metrics snapshot of the same.
     """
     if format == "jsonl":
-        return trace.to_jsonl()
-    if format == "chrome":
-        return chrome_trace_json(trace)
-    if format == "prom":
-        return registry_from_trace(trace).prometheus_text()
-    if format == "snapshot":
-        return registry_from_trace(trace).snapshot_json() + "\n"
-    raise ValueError(f"unknown trace export format: {format!r}")
+        trace.write_jsonl(out)
+    elif format == "chrome":
+        encode = _CANONICAL.encode
+        out.write(encode(_CHROME_FIELDS)[:-1] + ',"traceEvents":[')
+        for index, record in enumerate(_chrome_events(trace)):
+            out.write(("," if index else "") + encode(record))
+        out.write("]}\n")
+    elif format == "prom":
+        out.write(registry_from_trace(trace).prometheus_text())
+    elif format == "snapshot":
+        out.write(registry_from_trace(trace).snapshot_json() + "\n")
+    else:
+        raise ValueError(f"unknown trace export format: {format!r}")
+
+
+def export_trace(trace: TraceLog, format: str) -> str:
+    """:func:`write_trace`'s text as one string."""
+    out = io.StringIO()
+    write_trace(trace, format, out)
+    return out.getvalue()
 
 
 def parse_prometheus_text(text: str) -> dict[str, dict]:

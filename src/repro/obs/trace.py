@@ -22,14 +22,15 @@ import json
 from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT, ROW_FIELDS, freeze_attrs
 from repro.obs.metrics import MetricsRegistry
 
-#: Characters of a chunk encoded per digest update; below glibc's default
-#: 128 KiB threshold for serving an allocation with its own memory mapping.
-_DIGEST_SLICE = 1 << 16
+#: Characters of a chunk encoded at a time, by the digest and the JSONL
+#: writer; below glibc's default 128 KiB threshold for serving an
+#: allocation with its own memory mapping.
+_SLICE = 1 << 16
 
 #: ``float.__repr__`` of non-finite values, and their JSON spellings.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -221,6 +222,22 @@ class TraceLog:
     def __len__(self) -> int:
         return sum(chunk.count("\n") for _index, chunk in self.shards)
 
+    def _slices(self) -> Iterator[str]:
+        """:meth:`to_jsonl` in slices of at most :data:`_SLICE` characters.
+
+        Encoding a whole multi-megabyte chunk would make one more copy of
+        it, in a fresh memory mapping page-faulted in anew on every call;
+        slices this small reuse heap memory.
+        """
+        for _index, chunk in self.shards:
+            for start in range(0, len(chunk), _SLICE):
+                yield chunk[start : start + _SLICE]
+
+    def write_jsonl(self, out: TextIO) -> None:
+        """Write :meth:`to_jsonl` to a text stream, a slice at a time."""
+        for piece in self._slices():
+            out.write(piece)
+
     def to_jsonl(self) -> str:
         """The canonical JSONL serialization (one event per line)."""
         return "".join(chunk for _index, chunk in self.shards)
@@ -228,26 +245,25 @@ class TraceLog:
     def digest(self) -> str:
         """SHA-256 over :meth:`to_jsonl` — the run's trace identity."""
         digest = hashlib.sha256()
-        for _index, chunk in self.shards:
-            # Encoded a slice at a time: a whole multi-megabyte chunk's
-            # bytes would be a fresh memory mapping, page-faulted in anew
-            # on every call; slices this small reuse heap memory.
-            for start in range(0, len(chunk), _DIGEST_SLICE):
-                digest.update(chunk[start : start + _DIGEST_SLICE].encode("utf-8"))
+        for piece in self._slices():
+            digest.update(piece.encode("utf-8"))
         return digest.hexdigest()
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "TraceLog":
-        """Parse a trace written by :meth:`to_jsonl` (shard tags regroup it).
+    def from_jsonl(cls, source: Union[str, Iterable[str]]) -> "TraceLog":
+        """Parse a trace written by :meth:`write_jsonl` (shard tags regroup it).
 
-        Lines are re-encoded canonically; within each shard they must carry
+        ``source`` is the JSONL text or any iterable of its lines, such as
+        an open file, which is then read a line at a time.  Lines are
+        re-encoded canonically; within each shard they must carry
         consecutive ``seq`` numbers from 0, as every recorded trace does.
         """
         chunks: dict[int, list[str]] = {}
         encoded: dict[int, int] = {}
+        lines = source.splitlines() if isinstance(source, str) else source
         records = (
             (lineno, json.loads(line))
-            for lineno, line in enumerate(text.splitlines(), start=1)
+            for lineno, line in enumerate(lines, start=1)
             if line.strip()
         )
         # Each run of consecutive lines from one shard is encoded as one

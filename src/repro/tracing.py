@@ -17,7 +17,7 @@ one source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.net.clock import SimClock
 from repro.obs.events import FIGURE_STEP
@@ -108,19 +108,3 @@ class Timeline:
             lines.append(f"({number}) {step.actor}{arrow}: {step.action}{detail}")
         return "\n".join(lines)
 
-
-class Tracer:
-    """A nullable timeline holder: components trace only when one is attached."""
-
-    def __init__(self, timeline: Optional[Timeline] = None) -> None:
-        self.timeline = timeline
-
-    @property
-    def active(self) -> bool:
-        """Whether tracing is on."""
-        return self.timeline is not None
-
-    def add(self, actor: str, action: str, target: str = "", detail: str = "") -> None:
-        """Record a step when tracing is active; no-op otherwise."""
-        if self.timeline is not None:
-            self.timeline.add(actor, action, target, detail)

@@ -38,13 +38,14 @@ from tests.test_engine_degraded import CONFIG, COUNTRIES, execute_plan, make_spe
 
 
 def reference_summary(datasets) -> str:
-    """The summary as one whole-dict encoding: each dataset's dict form,
-    records sorted by zID, one ``json.dumps`` over all of it."""
+    """The summary as one whole-dict encoding: each dataset's header fields
+    plus its records' rows sorted by zID, one ``json.dumps`` over all of it."""
     payload = {}
     for name in sorted(datasets):
-        encoded = export.dataset_to_dict(datasets[name])
-        encoded["records"] = sorted(encoded["records"], key=lambda row: row["zid"])
-        payload[name] = encoded
+        dataset = datasets[name]
+        kind = export.KINDS[name]
+        rows = sorted(map(kind.to_row, dataset.records), key=lambda row: row["zid"])
+        payload[name] = {**kind.header(dataset), "records": rows}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -245,17 +246,15 @@ class TestEngineSummaries:
 
 @pytest.fixture()
 def record_decodes(monkeypatch):
-    """Counts records decoded through the export row codecs."""
+    """Counts records decoded through the kind table's row codecs."""
     decoded = {"records": 0}
-    for kind in export.DATASET_CODECS:
-        name = f"{kind}_record_from_row"
-        original = getattr(export, name)
+    for name, kind in list(export.KINDS.items()):
 
-        def counted(row, _original=original):
+        def counted(row, _original=kind.from_row):
             decoded["records"] += 1
             return _original(row)
 
-        monkeypatch.setattr(export, name, counted)
+        monkeypatch.setitem(export.KINDS, name, replace(kind, from_row=counted))
     return decoded
 
 

@@ -1,5 +1,7 @@
 """Tests for dataset export/reload, the CLI, IP churn, and footnote-9."""
 
+import json
+
 import pytest
 
 from repro.core.analysis import AnalysisThresholds, google_dns_concentration
@@ -22,12 +24,37 @@ def crawled(small_world):
     }
 
 
+#: Each kind's header as files held it before the one wire form.
+PARENT_HEADERS = {
+    "dns": lambda d: {
+        "kind": "dns",
+        "filtered_google_overlap": d.filtered_google_overlap,
+        "probes": d.probes,
+        "unique_dns_servers": d.unique_dns_servers,
+    },
+    "http": lambda d: {"kind": "http", "probes": d.probes, "flagged_ases": sorted(d.flagged_ases)},
+    "https": lambda d: {"kind": "https", "probes": d.probes},
+    "monitoring": lambda d: {"kind": "monitoring", "probes": d.probes},
+}
+
+
+def parent_format_file(kind, dataset, path):
+    """Write ``dataset`` as files were written before the one wire form:
+    the header, then each record's row, each through ``json.dumps`` with
+    its default separators and key order."""
+    to_row = getattr(export, f"{kind}_record_to_row")
+    with path.open("w", encoding="ascii") as handle:
+        handle.write(json.dumps(PARENT_HEADERS[kind](dataset)) + "\n")
+        for record in dataset.records:
+            handle.write(json.dumps(to_row(record)) + "\n")
+
+
 class TestExportRoundtrips:
     def test_dns(self, crawled, tmp_path):
         dataset = crawled["dns"]
         path = tmp_path / "dns.jsonl"
-        assert export.save_dns_dataset(dataset, path) == dataset.node_count
-        loaded = export.load_dns_dataset(path)
+        assert export.save_dataset(dataset, path) == dataset.node_count
+        loaded = export.load_dataset(path, "dns")
         assert loaded.node_count == dataset.node_count
         assert loaded.hijacked_count == dataset.hijacked_count
         assert loaded.records[0] == dataset.records[0]
@@ -36,8 +63,8 @@ class TestExportRoundtrips:
     def test_http(self, crawled, tmp_path):
         dataset = crawled["http"]
         path = tmp_path / "http.jsonl"
-        export.save_http_dataset(dataset, path)
-        loaded = export.load_http_dataset(path)
+        export.save_dataset(dataset, path)
+        loaded = export.load_dataset(path, "http")
         assert loaded.node_count == dataset.node_count
         assert loaded.flagged_ases == dataset.flagged_ases
         for kind in ObjectKind:
@@ -50,32 +77,53 @@ class TestExportRoundtrips:
     def test_https(self, crawled, tmp_path):
         dataset = crawled["https"]
         path = tmp_path / "https.jsonl"
-        export.save_https_dataset(dataset, path)
-        loaded = export.load_https_dataset(path)
+        export.save_dataset(dataset, path)
+        loaded = export.load_dataset(path, "https")
         assert loaded.replaced_count == dataset.replaced_count
         assert loaded.records[0].sites == dataset.records[0].sites
 
     def test_monitoring(self, crawled, tmp_path):
         dataset = crawled["monitoring"]
         path = tmp_path / "mon.jsonl"
-        export.save_monitoring_dataset(dataset, path)
-        loaded = export.load_monitoring_dataset(path)
+        export.save_dataset(dataset, path)
+        loaded = export.load_dataset(path, "monitoring")
         assert loaded.monitored_count == dataset.monitored_count
         monitored = next(r for r in dataset.records if r.monitored)
         reloaded = next(r for r in loaded.records if r.zid == monitored.zid)
         assert reloaded.unexpected == monitored.unexpected
 
+    @pytest.mark.parametrize("kind", list(export.KINDS))
+    def test_a_file_is_the_header_then_the_record_lines(self, crawled, tmp_path, kind):
+        dataset = crawled[kind]
+        assert dataset.records
+        path = tmp_path / f"{kind}.jsonl"
+        assert export.save_dataset(dataset, path) == len(dataset.records)
+        payload = export.dataset_to_lines(dataset)
+        header = json.dumps(payload["header"], sort_keys=True, separators=(",", ":"))
+        expected = "".join(line + "\n" for line in [header, *payload["lines"]])
+        assert path.read_bytes() == expected.encode("ascii")
+        assert export.load_dataset(path, kind) == dataset
+
+    @pytest.mark.parametrize("kind", list(export.KINDS))
+    def test_parent_format_files_still_load(self, crawled, tmp_path, kind):
+        dataset = crawled[kind]
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        parent_format_file(kind, dataset, old)
+        export.save_dataset(dataset, new)
+        assert old.read_bytes() != new.read_bytes()
+        assert export.load_dataset(old, kind) == export.load_dataset(new, kind) == dataset
+
     def test_kind_mismatch_rejected(self, crawled, tmp_path):
         path = tmp_path / "dns.jsonl"
-        export.save_dns_dataset(crawled["dns"], path)
-        with pytest.raises(ValueError):
-            export.load_http_dataset(path)
+        export.save_dataset(crawled["dns"], path)
+        with pytest.raises(ValueError, match="expected a 'http' dataset, got 'dns'"):
+            export.load_dataset(path, "http")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError):
-            export.load_dns_dataset(path)
+        with pytest.raises(ValueError, match="empty dataset file"):
+            export.load_dataset(path, "dns")
 
 
 class TestFootnote9:

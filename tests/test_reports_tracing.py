@@ -14,7 +14,7 @@ from repro.core.reports import (
     same_order,
     within_factor,
 )
-from repro.tracing import Timeline, Tracer
+from repro.tracing import Timeline
 
 
 class TestRenderTable:
@@ -141,15 +141,3 @@ class TestTracing:
         rendered = timeline.render()
         assert "(1) a: x" in rendered
         assert "(2) b -> c: y" in rendered
-
-    def test_tracer_noop_when_inactive(self):
-        tracer = Tracer()
-        tracer.add("a", "x")  # must not raise
-        assert not tracer.active
-
-    def test_tracer_records_when_active(self):
-        timeline = Timeline(title="T")
-        tracer = Tracer(timeline)
-        tracer.add("a", "x")
-        assert tracer.active
-        assert len(timeline) == 1

@@ -359,9 +359,8 @@ class TestPaperFaithfulDigestEquivalence:
         # same SHA, and the rest of the report matches field for field.
         assert composed.engine_report["world_manifest"] == compiled.manifest_sha
         assert composed.engine_report == legacy.engine_report
-        for name in ("dns", "http", "https", "monitoring"):
-            codec = getattr(export, f"{name}_dataset_to_dict")
-            assert codec(getattr(composed, name)) == codec(
+        for name in export.KINDS:
+            assert export.dataset_to_lines(getattr(composed, name)) == export.dataset_to_lines(
                 getattr(legacy, name)
             ), f"{name} datasets diverged"
 
@@ -388,9 +387,7 @@ class TestWorldManifestThreading:
         resumed = compiled.run_study(seed=21, shards=2, shard_cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (2, 0)
         assert resumed.engine_report == results.engine_report
-        assert export.dns_dataset_to_dict(resumed.dns) == export.dns_dataset_to_dict(
-            results.dns
-        )
+        assert export.dataset_to_lines(resumed.dns) == export.dataset_to_lines(results.dns)
 
 
 class TestCensoredRegionRediscovery:
