@@ -260,7 +260,7 @@ def table4_isp_dns(classification, orgmap: AsOrgMap) -> list[IspDnsRow]:
 
 _URL_IN_DIFF = re.compile(r"https?://([A-Za-z0-9.\-]+(?:/[A-Za-z0-9.\-_/]*[A-Za-z0-9])?)")
 _VAR_IN_DIFF = re.compile(r"var\s+([A-Za-z_]\w*)\s*;")
-_TOKEN_IN_DIFF = re.compile(r"([A-Za-z]\w*_Widget_Container)")
+_WIDGET_SUFFIX = "_Widget_Container"
 # The common-prefix diff may eat the leading "<" (it matches the original's
 # next tag), so the meta pattern must not anchor on it.
 _META_IN_DIFF = re.compile(r'meta\s+name="([^"]+)"')
@@ -286,6 +286,36 @@ def injected_fragment(original: bytes, received: bytes) -> bytes:
     return received[prefix : len(received) - suffix]
 
 
+def _is_word(char: str) -> bool:
+    """Whether ``char`` is a word character in the sense of the regex ``\\w``."""
+    return char.isalnum() or char == "_"
+
+
+def widget_token(text: str) -> Optional[str]:
+    """The first ``[A-Za-z]\\w*_Widget_Container`` token in ``text``, or ``None``.
+
+    Returns exactly what that regex's ``search(text).group(1)`` does, in
+    linear time: the regex backtracks quadratically through an injector's
+    word-character padding.  Its match lies in the first word run whose
+    first ASCII letter comes before the run's last copy of the suffix, and
+    spans from that letter to the end of that copy.
+    """
+    found = text.find(_WIDGET_SUFFIX)
+    while found >= 0:
+        start = found
+        while start > 0 and _is_word(text[start - 1]):
+            start -= 1
+        end = found + len(_WIDGET_SUFFIX)
+        while end < len(text) and _is_word(text[end]):
+            end += 1
+        last = text.rfind(_WIDGET_SUFFIX, found, end)
+        for index in range(start, last):
+            if text[index].isascii() and text[index].isalpha():
+                return text[index : last + len(_WIDGET_SUFFIX)]
+        found = text.find(_WIDGET_SUFFIX, end)
+    return None
+
+
 def injection_signature(original: bytes, received: bytes) -> str:
     """The URL or keyword characterising an injection (§5.2's manual step).
 
@@ -296,9 +326,9 @@ def injection_signature(original: bytes, received: bytes) -> str:
     match = _URL_IN_DIFF.search(fragment)
     if match:
         return match.group(1)
-    match = _TOKEN_IN_DIFF.search(fragment)
-    if match:
-        return match.group(1)
+    token = widget_token(fragment)
+    if token is not None:
+        return token
     match = _VAR_IN_DIFF.search(fragment)
     if match:
         return f"var {match.group(1)};"

@@ -33,7 +33,6 @@ from repro.engine.sharding import (
     ShardSpec,
     derive_seed,
     make_shard_specs,
-    partition_plan,
     partition_plans,
     shard_of,
     stable_digest,
@@ -72,7 +71,6 @@ __all__ = [
     "make_shard_specs",
     "measure_planned_node",
     "merge_shard_results",
-    "partition_plan",
     "partition_plans",
     "run_digest",
     "run_shard",

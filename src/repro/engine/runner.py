@@ -21,7 +21,7 @@ store them.  A task marked ``contain`` comes back as a classified
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.experiments.dataset import Dataset
 from repro.core.export import dataset_to_lines
@@ -57,16 +57,16 @@ SHARD_FAILED = "shard-failure"
 class ShardTask:
     """Everything a worker needs to execute one shard, picklable.
 
-    ``plans`` is an ordered tuple of ``(experiment, zids)`` pairs — the zids
-    as any string sequence (the engine ships packed
-    :class:`~repro.engine.sharding.PlanSlice` objects); the order is the
-    shard's execution order and part of the determinism contract.
+    ``plans`` is an ordered tuple of ``(experiment, zids)`` pairs, the zid
+    tuples :func:`~repro.engine.sharding.partition_plans` returns; their
+    order is the shard's execution order and part of the determinism
+    contract.
     """
 
     config: WorldConfig
     countries: Optional[tuple[CountrySpec, ...]]
     spec: ShardSpec
-    plans: tuple[tuple[str, Sequence[str]], ...]
+    plans: tuple[tuple[str, tuple[str, ...]], ...]
     retry: RetryPolicy
     validity: ValidityPolicy = ValidityPolicy()
     #: Observability level (``off``/``metrics``/``trace``); never part of the

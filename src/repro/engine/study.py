@@ -54,7 +54,6 @@ from repro.engine.metrics import RunReport, ShardMetrics
 from repro.engine.retry import RetryPolicy
 from repro.engine.runner import SHARD_FAILED, ShardTask, execute_shard, execute_shard_live
 from repro.engine.sharding import (
-    PlanSlice,
     derive_seed,
     make_shard_specs,
     partition_plans,
@@ -431,9 +430,7 @@ def run_study(
             countries=spec.countries,
             spec=shard_spec,
             plans=tuple(
-                # Packed-index transport: at paper scale the plan strings
-                # alone would dominate worker pickle traffic.
-                (name, PlanSlice(shard_plans[shard_spec.index][name]))
+                (name, shard_plans[shard_spec.index][name])
                 for name in EXPERIMENT_ORDER
             ),
             retry=spec.retry,

@@ -16,6 +16,9 @@ daemon:
 * :mod:`~repro.resilience.dlq` — the persisted, inspectable dead-letter
   queue where studies land after exhausting their retry budget
   (``repro serve dlq list|retry|purge``);
+* :mod:`~repro.resilience.ledger` — the one append rule and read rule
+  the DLQ and the service journal share: an append first cuts a torn
+  final line, so a crash mid-append costs that line and nothing after it;
 * :mod:`~repro.resilience.breaker` — per-tenant closed/open/half-open
   circuit breakers with simulated-time cooldown.
 

@@ -4,8 +4,9 @@ A study that fails ``StudyRetryPolicy.max_attempts`` times is *parked*
 here instead of aborting the daemon or spinning forever.  The DLQ is an
 append-only JSONL ledger (``dlq.jsonl`` in the service state dir) folded
 into current state on load, mirroring the service journal's recovery
-contract: a torn final line (crash mid-append) is dropped, mid-file
-corruption raises :class:`DLQError` (``repro serve fsck`` repairs it).
+contract (:mod:`repro.resilience.ledger`): a torn final line (crash
+mid-append) is dropped on load and cut by the next append, and mid-file
+corruption raises :class:`DLQError` (``repro serve fsck`` reports it).
 
 Three record kinds fold left-to-right:
 
@@ -31,6 +32,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from repro.resilience.ledger import append_line, read_ledger
 
 DLQ_FILENAME = "dlq.jsonl"
 
@@ -99,7 +102,7 @@ class DeadLetterQueue:
     def __init__(self, path: Optional[os.PathLike] = None) -> None:
         self._path = Path(path) if path is not None else None
         self._state: Dict[Key, _KeyState] = {}
-        if self._path is not None and self._path.exists():
+        if self._path is not None:
             self._fold_file()
 
     @property
@@ -109,19 +112,10 @@ class DeadLetterQueue:
     # -- ledger fold -----------------------------------------------------
 
     def _fold_file(self) -> None:
-        raw = self._path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        for index, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    break  # torn final line: crash mid-append, drop it
-                raise DLQError(
-                    f"corrupt DLQ record at line {index + 1} of {self._path}"
-                ) from exc
+        scan = read_ledger(self._path)
+        if scan.corrupt:
+            raise DLQError(f"corrupt DLQ record at line {scan.corrupt[0]} of {self._path}")
+        for _, record in scan.records:
             self._fold_record(record)
 
     def _fold_record(self, record: dict) -> None:
@@ -145,10 +139,7 @@ class DeadLetterQueue:
         self._fold_record(record)
         if self._path is None:
             return
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        append_line(self._path, json.dumps(record, sort_keys=True, separators=(",", ":")))
 
     # -- operations ------------------------------------------------------
 

@@ -6,9 +6,10 @@ append-only journal (``service.jsonl``), the digest-keyed disk shard cache
 ``repro study --checkpoint DIR`` directory has the same layout with only
 the shard cache, so the same check validates a study checkpoint.  All
 three are crash-tolerant by construction — torn final lines are dropped on
-load, cache entries are written atomically and carry a payload SHA-256 —
-but an operator still wants a way to *ask* whether the state is healthy
-after an unclean shutdown, a disk incident, or a suspicious run.
+load and cut by the next append, cache entries are written atomically and
+carry a payload SHA-256 — but an operator still wants a way to *ask*
+whether the state is healthy after an unclean shutdown, a disk incident,
+or a suspicious run.
 
 :func:`fsck_state_dir` walks everything and reports findings without
 touching a byte; ``repair=True`` additionally applies the safe fixes:
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
+from repro.resilience.ledger import read_ledger
 from repro.serve.cache import SHARD_CACHE_DIR, CacheEntryError, decode_entry
 
 #: Severity labels used by :class:`Finding`.
@@ -79,48 +81,38 @@ def _check_jsonl(
 ) -> int:
     """Validate one append-only JSONL ledger; returns intact record count.
 
-    A torn final line is the expected crash signature: repairable by
-    truncation.  A bad line anywhere else is reported as an error and left
-    alone.
+    The ledger is read as the service reads it
+    (:func:`~repro.resilience.ledger.read_ledger`).  A torn final line is
+    the expected crash signature: repairable by truncation, the same cut
+    the next append makes.  A bad line anywhere else is reported as an
+    error and left alone.
     """
     if not path.exists():
         report.note(path, FSCK_OK, f"no {label} (nothing journalled)")
         return 0
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    intact = 0
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1:
-                if repair:
-                    keep = "".join(f"{good}\n" for good in lines[:-1])
-                    path.write_text(keep, encoding="utf-8")
-                    report.note(
-                        path, FSCK_REPAIRED,
-                        f"truncated torn final line ({len(line)} bytes)",
-                    )
-                else:
-                    report.note(
-                        path, FSCK_ERROR,
-                        f"torn final line ({len(line)} bytes); --repair truncates",
-                    )
-            else:
-                report.note(
-                    path, FSCK_ERROR,
-                    f"line {lineno + 1}: corrupt mid-file record (not repairable)",
-                )
-            continue
-        if not isinstance(record, dict):
+    scan = read_ledger(path)
+    intact = sum(1 for _, record in scan.records if isinstance(record, dict))
+    problems = sorted(
+        [(lineno, "corrupt mid-file record (not repairable)") for lineno in scan.corrupt]
+        + [
+            (lineno, "record is not an object")
+            for lineno, record in scan.records
+            if not isinstance(record, dict)
+        ]
+    )
+    for lineno, detail in problems:
+        report.note(path, FSCK_ERROR, f"line {lineno}: {detail}")
+    if scan.torn is not None:
+        offset, length = scan.torn
+        if repair:
+            with path.open("r+b") as handle:
+                handle.truncate(offset)
+            report.note(path, FSCK_REPAIRED, f"truncated torn final line ({length} bytes)")
+        else:
             report.note(
-                path, FSCK_ERROR, f"line {lineno + 1}: record is not an object"
+                path, FSCK_ERROR, f"torn final line ({length} bytes); --repair truncates"
             )
-            continue
-        intact += 1
-    if not report.findings or report.findings[-1].path != str(path):
+    elif not problems:
         report.note(path, FSCK_OK, f"{intact} intact {label} records")
     return intact
 

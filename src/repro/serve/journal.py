@@ -9,7 +9,8 @@ long-running service measured, when (in simulated time), and whether two
 runs of the same queue agreed — the lines are canonical JSON, so equal
 histories are byte-equal.
 
-A torn final line (the process died mid-append) is dropped on load.
+A torn final line (the process died mid-append) is dropped on load and
+cut by the next append (:mod:`repro.resilience.ledger`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Union
+
+from repro.resilience.ledger import append_line, read_ledger
 
 #: Bump when the journal's on-disk shape changes incompatibly.
 SERVICE_JOURNAL_VERSION = 1
@@ -59,10 +62,7 @@ class ServiceJournal:
         self._append(payload)
 
     def _append(self, record: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
+        append_line(self.path, json.dumps(record, sort_keys=True))
 
     def load(self) -> list[dict]:
         """Every journalled record, in append order.
@@ -70,22 +70,12 @@ class ServiceJournal:
         A torn final line is dropped; malformed content anywhere else
         raises :class:`ServiceJournalError`.
         """
-        if not self.path.exists():
-            return []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        records: list[dict] = []
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    break  # torn final line: the append never completed
-                raise ServiceJournalError(
-                    f"{self.path}:{lineno + 1}: corrupt journal line"
-                ) from None
-        return records
+        scan = read_ledger(self.path)
+        if scan.corrupt:
+            raise ServiceJournalError(
+                f"{self.path}:{scan.corrupt[0]}: corrupt journal line"
+            )
+        return [record for _, record in scan.records]
 
     def studies(self) -> list[dict]:
         """Just the ``study`` lines, in append order."""

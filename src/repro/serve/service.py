@@ -51,7 +51,7 @@ from repro.engine.sharding import stable_digest
 from repro.engine.study import EngineRun, StudySpec, run_study
 from repro.faults.service import ServiceFaultPlan
 from repro.net.clock import SimClock
-from repro.obs import NULL_RECORDER, SERVICE_BUCKETS, MetricsRegistry, TraceRecorder
+from repro.obs import SERVICE_BUCKETS, MetricsRegistry
 from repro.resilience import (
     BREAKER_OPEN,
     FAILURE_CATEGORIES,
@@ -256,7 +256,6 @@ class Service:
         queue: Optional[StudyQueue] = None,
         cache: Optional[object] = None,
         state_dir: Optional[Union[str, Path]] = None,
-        obs: bool = False,
         keep_runs: bool = False,
         retry: Optional[StudyRetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
@@ -281,7 +280,6 @@ class Service:
             else None
         )
         self.metrics = MetricsRegistry()
-        self.recorder = TraceRecorder(self.clock) if obs else NULL_RECORDER
         self.workers = workers
         self.keep_runs = keep_runs
         self.completed: list[CompletedStudy] = []
@@ -420,11 +418,6 @@ class Service:
             when, key, occurrence = heapq.heappop(self._fires)
             registration = self._registrations[key]
             self._push_fire(registration, occurrence + 1)
-            if self.recorder.enabled:
-                self.recorder.event(
-                    "serve.fire", actor=registration.tenant,
-                    detail=registration.name, attrs={"occurrence": occurrence},
-                )
             try:
                 self.queue.submit(
                     registration.tenant, registration.name, registration.request,
@@ -633,18 +626,14 @@ class Service:
         total_attempt = base + attempt
         plan = self._study_faults(submission, total_attempt)
         try:
-            with self.recorder.span(
-                "serve.study", actor=submission.tenant, detail=submission.name,
-                attrs={"sid": submission.sid, "occurrence": submission.occurrence},
-            ):
-                if isinstance(request, EngineStudyRequest):
-                    study = self._execute_engine(submission, request.spec, started, plan)
-                elif isinstance(request, CallableRequest):
-                    study = self._execute_callable(submission, request, started, plan)
-                else:
-                    raise ContainedFailure(
-                        "spec", f"unknown request type: {type(request).__name__}"
-                    )
+            if isinstance(request, EngineStudyRequest):
+                study = self._execute_engine(submission, request.spec, started, plan)
+            elif isinstance(request, CallableRequest):
+                study = self._execute_callable(submission, request, started, plan)
+            else:
+                raise ContainedFailure(
+                    "spec", f"unknown request type: {type(request).__name__}"
+                )
             with self._stage("journal"):
                 if plan is not None:
                     plan.check("journal")
@@ -705,11 +694,6 @@ class Service:
             dead=not will_retry,
         )
         self.failed.append(failed)
-        if self.recorder.enabled:
-            self.recorder.event(
-                "serve.failure", actor=submission.tenant, detail=submission.name,
-                attrs={"category": category, "attempt": total_attempt},
-            )
         self.metrics.counter(
             "serve_failures_total", 1,
             help="contained study failures, by taxonomy category",

@@ -145,7 +145,6 @@ def build_service(
     *,
     workers: int = 1,
     state_dir: Optional[Union[str, Path]] = None,
-    obs: bool = False,
     service_faults: Optional[str] = None,
     service_fault_seed: Optional[int] = None,
 ) -> tuple[Service, float]:
@@ -181,7 +180,6 @@ def build_service(
         seed=seed,
         workers=workers,
         state_dir=state_dir,
-        obs=obs,
         retry=retry,
         breaker=breaker,
         faults=_fault_plan(payload, seed, service_faults, service_fault_seed),

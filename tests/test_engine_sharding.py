@@ -11,10 +11,8 @@ import pytest
 from repro.core.crawler import CrawlController
 from repro.engine import (
     RetryPolicy,
-    ShardSpec,
     derive_seed,
     make_shard_specs,
-    partition_plan,
     partition_plans,
     shard_of,
     stable_digest,
@@ -81,17 +79,11 @@ class TestShardSpecs:
         assert all(s.count == 3 for s in specs)
         assert len({s.seed for s in specs}) == 3
 
-    def test_owns_matches_shard_of(self):
-        spec = ShardSpec(index=2, count=5, seed=0)
-        for i in range(100):
-            zid = f"z{i}"
-            assert spec.owns(zid) == (shard_of(zid, 5) == 2)
-
 
 class TestPartition:
     def test_partition_covers_and_preserves_order(self):
         plan = tuple(f"z{i:04d}" for i in range(300))
-        buckets = partition_plan(plan, 4)
+        buckets = [shard["p"] for shard in partition_plans({"p": plan}, 4)]
         assert sorted(z for b in buckets for z in b) == sorted(plan)
         order = {z: i for i, z in enumerate(plan)}
         for bucket in buckets:

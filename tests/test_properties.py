@@ -6,11 +6,12 @@ stable per-node draws, session expiry.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import injected_fragment, injection_signature
+from repro.core.analysis import injected_fragment, injection_signature, widget_token
 from repro.core.reports import render_table, within_factor
 from repro.luminati.headers import AttemptRecord, TimelineDebug
 from repro.luminati.session import SessionTable
@@ -86,6 +87,60 @@ class TestInjectionDiffProperties:
         anchor = self.ORIGINAL.rfind(b"</body>")
         received = self.ORIGINAL[:anchor] + block + self.ORIGINAL[anchor:]
         assert injection_signature(self.ORIGINAL, received).startswith(host)
+
+
+#: The Table 6 widget-token regex that :func:`widget_token` replaced: the reference.
+WIDGET_TOKEN = re.compile(r"([A-Za-z]\w*_Widget_Container)")
+
+#: Characters ``bytes.decode("ascii", errors="replace")`` can produce, with
+#: word characters, separators and the literal's own letters drawn often.
+decoded_char = st.one_of(
+    st.sampled_from("aZ9_W \ufffd"),
+    st.characters(max_codepoint=127),
+    st.just("\ufffd"),
+)
+
+
+def regex_token(text):
+    match = WIDGET_TOKEN.search(text)
+    return match.group(1) if match else None
+
+
+class TestWidgetToken:
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("<script>AdTaily_Widget_Container</script>", "AdTaily_Widget_Container"),
+            ("x a_Widget_Container_Widget_Container y", "a_Widget_Container_Widget_Container"),
+            ("_Widget_Container_Widget_Container", "Widget_Container_Widget_Container"),
+            ("9_x_Widget_Container", "x_Widget_Container"),
+            ("__9Ab_Widget_Container", "Ab_Widget_Container"),
+            ("_Widget_Container", None),
+            ("123_Widget_Container Foo_Widget_Container", "Foo_Widget_Container"),
+            ("\ufffdAd_Widget_Container\ufffd", "Ad_Widget_Container"),
+            ("ad" * 500, None),
+            ("", None),
+        ],
+        ids=[
+            "marker", "greedy-end", "start-inside-literal", "digit-before-letter",
+            "underscores-before-letter", "literal-only", "second-run", "replacement-char",
+            "padding", "empty",
+        ],
+    )
+    def test_named_cases(self, text, token):
+        assert widget_token(text) == token == regex_token(text)
+
+    def test_paper_scale_padding_is_cheap(self):
+        # AdTaily's ~335 KB of padding: the regex would take minutes here.
+        padding = "ad" * 170_000
+        assert widget_token(padding) is None
+        assert widget_token(padding + "_Widget_Container") == padding + "_Widget_Container"
+
+    @given(pieces=st.lists(st.text(alphabet=decoded_char, max_size=12), min_size=1, max_size=6))
+    @settings(max_examples=400)
+    def test_scan_equals_the_regex(self, pieces):
+        text = "_Widget_Container".join(pieces)
+        assert widget_token(text) == regex_token(text)
 
 
 class TestStableDraws:
