@@ -368,7 +368,11 @@ def _cmd_serve_dlq(args: argparse.Namespace) -> int:
     if not args.state_dir:
         print("serve dlq: --state-dir is required", file=sys.stderr)
         return 2
-    dlq = DeadLetterQueue(pathlib.Path(args.state_dir) / "dlq.jsonl")
+    try:
+        dlq = DeadLetterQueue(pathlib.Path(args.state_dir) / "dlq.jsonl")
+    except DLQError as exc:
+        print(f"serve dlq: {exc}", file=sys.stderr)
+        return 1
     action = args.extra[0] if args.extra else "list"
     if action == "list":
         entries = dlq.entries()

@@ -19,6 +19,7 @@ from repro.core.experiments.http_mod import HttpDataset, HttpProbeRecord
 from repro.core.experiments.https_mitm import HttpsDataset, SITE_CLASS_INVALID
 from repro.core.experiments.monitoring import MonitoringDataset
 from repro.net.orgmap import AsOrgMap
+from repro.records import slot_init
 from repro.web.content import ContentCorpus, ObjectKind
 from repro.web.jpeg import decode_jpeg, JpegFormatError
 from repro.web.server import is_block_page
@@ -69,6 +70,7 @@ class AnalysisThresholds:
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CountryHijackRow:
     """One Table 3 row."""
@@ -158,6 +160,7 @@ def as_dispersion(
     )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class GoogleDnsConcentrationRow:
     """One footnote-9 row: an AS whose users overwhelmingly use Google DNS."""
@@ -219,6 +222,7 @@ def google_dns_concentration(
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class IspDnsRow:
     """One Table 4 row."""
@@ -338,6 +342,7 @@ def injection_signature(original: bytes, received: bytes) -> str:
     return "(unidentified)"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class JsInjectionRow:
     """One Table 6 row."""
@@ -425,6 +430,7 @@ def table6_js_injection(
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ImageCompressionRow:
     """One Table 7 row."""
@@ -490,6 +496,7 @@ def table7_image_compression(
     return rows
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HttpProxyRow:
     """One detected transparent-proxy deployment (Netalyzr-style, §8)."""
@@ -604,6 +611,7 @@ def issuer_group(issuer_cn: str) -> str:
     return stripped
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class IssuerRow:
     """One Table 8 row."""
@@ -701,6 +709,7 @@ def table8_issuers(
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MonitoringRow:
     """One Table 9 row."""

@@ -28,6 +28,7 @@ from repro.dnssim.hijack import extract_link_domains
 from repro.dnssim.resolver import GooglePublicDns
 from repro.net.asn import RouteViewsTable
 from repro.net.orgmap import AsOrgMap
+from repro.records import slot_init
 
 
 @dataclass
@@ -250,6 +251,7 @@ def google_dns_hijack_urls(
     return rows, len(victims)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class VendorFamilyRow:
     """One shared hijack-page implementation and the ISPs deploying it."""

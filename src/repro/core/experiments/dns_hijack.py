@@ -27,10 +27,12 @@ from repro.core.crawler import CrawlController
 from repro.core.experiments.dataset import Dataset
 from repro.core.validity import classify_result
 from repro.dnssim.resolver import GooglePublicDns
+from repro.records import slot_init
 from repro.sim.world import DNS_TEST_ZONE, World
 from repro.tracing import Timeline
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DnsProbeRecord:
     """One measured exit node."""

@@ -24,6 +24,7 @@ from repro.core.experiments.dataset import Dataset
 from repro.core.validity import classify_result
 from repro.middlebox.http_proxy import proxy_via_token
 from repro.net.ip import str_to_ip
+from repro.records import slot_init
 from repro.sim.world import PROBE_ZONE, World
 from repro.web.content import ObjectKind
 from repro.web.server import MeasurementWebServer
@@ -42,6 +43,7 @@ REVISIT_MISS_STREAK = 60
 OBJECTS_HOST = f"objects.{PROBE_ZONE}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HttpProbeRecord:
     """One fully measured exit node: per-object received bodies' verdicts."""

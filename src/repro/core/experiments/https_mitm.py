@@ -26,6 +26,7 @@ from repro.core.crawler import CrawlController
 from repro.core.experiments.dataset import Dataset
 from repro.faults import FaultError
 from repro.luminati.errors import NoPeersError
+from repro.records import slot_init
 from repro.sim.world import SiteRecord, World
 from repro.tlssim.certs import CertificateChain
 from repro.tlssim.validation import validate_chain
@@ -36,6 +37,7 @@ SITE_CLASS_UNIVERSITY = "university"
 SITE_CLASS_INVALID = "invalid"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SiteResult:
     """One handshake through one node: what was presented and the verdict."""
@@ -49,6 +51,7 @@ class SiteResult:
     origin_invalid_kind: str = ""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HttpsProbeRecord:
     """One measured exit node: initial probe plus (if triggered) full scan."""

@@ -22,6 +22,7 @@ from repro.core.crawler import CrawlController
 from repro.core.experiments.dataset import Dataset
 from repro.core.validity import classify_result
 from repro.net.ip import str_to_ip
+from repro.records import slot_init
 from repro.sim.world import PROBE_ZONE, World
 from repro.tracing import Timeline
 
@@ -29,6 +30,7 @@ from repro.tracing import Timeline
 WATCH_WINDOW_SECONDS = 24 * 3600.0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class UnexpectedRequest:
     """One unexpected request for a probe domain."""
@@ -40,6 +42,7 @@ class UnexpectedRequest:
     asn: Optional[int]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MonitorProbeRecord:
     """One measured exit node and everything its probe domain received."""

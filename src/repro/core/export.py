@@ -37,6 +37,7 @@ from repro.core.experiments.monitoring import (
     MonitorProbeRecord,
     UnexpectedRequest,
 )
+from repro.records import slot_init
 from repro.web.content import ObjectKind
 
 PathLike = Union[str, pathlib.Path]
@@ -253,6 +254,7 @@ def _monitoring_from_header(header: dict) -> MonitoringDataset:
 # -- the kind table -------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DatasetKind:
     """Everything the wire form knows about one experiment's dataset."""

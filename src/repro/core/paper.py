@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.records import slot_init
+
 # -- headline numbers ---------------------------------------------------------
 
 TOTAL_NODES = 1_276_873
@@ -47,6 +49,7 @@ MONITORING_AS_GROUPS = 54
 # -- Table 1: platform comparison -----------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PlatformRow:
     """One Table 1 row."""

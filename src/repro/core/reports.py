@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.records import slot_init
+
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:
     """A fixed-width text table."""
@@ -32,6 +34,7 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title
     return "\n".join(lines)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Comparison:
     """One paper-vs-measured line."""

@@ -34,6 +34,7 @@ from repro.faults import (
     KIND_TIMEOUT,
     KIND_TRUNCATED,
 )
+from repro.records import slot_init
 
 #: Attempt outcomes (Luminati debug records) folded into the taxonomy.
 _OUTCOME_KINDS = {
@@ -69,6 +70,7 @@ def classify_result(result) -> Optional[str]:
     return None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ValidityPolicy:
     """How much distrust a run applies to its own measurements."""

@@ -15,10 +15,12 @@ import re
 from dataclasses import dataclass
 
 from repro.dnssim.message import DnsResponse
+from repro.records import slot_init
 
 _URL_PATTERN = re.compile(r"https?://([A-Za-z0-9.-]+)")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HijackPolicy:
     """Describes one NXDOMAIN hijacker.

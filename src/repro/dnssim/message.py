@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.records import slot_init
+
 
 class RCode(enum.Enum):
     """DNS response codes used in the simulation."""
@@ -27,6 +29,7 @@ def normalize_name(name: str) -> str:
     return name.rstrip(".").lower()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DnsQuery:
     """An A-record query as seen by a server: the name asked and who asked.
@@ -45,6 +48,7 @@ class DnsQuery:
         object.__setattr__(self, "qname", normalize_name(self.qname))
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DnsResponse:
     """An answer: response code plus zero or more A-record addresses."""
@@ -92,6 +96,7 @@ _NXDOMAIN = DnsResponse(RCode.NXDOMAIN)
 _SERVFAIL = DnsResponse(RCode.SERVFAIL)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class QueryLogEntry:
     """One line of an authoritative server's query log."""

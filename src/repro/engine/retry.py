@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.records import slot_init
 
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """How often and how patiently to re-attempt one planned node."""

@@ -14,6 +14,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.records import slot_init
+
 
 def stable_digest(*parts: object) -> str:
     """A hex SHA-256 over the parts' text forms (order-sensitive)."""
@@ -41,6 +43,7 @@ def derive_seed(base: object, *parts: object) -> int:
     return int(stable_digest(base, *parts)[:16], 16)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ShardSpec:
     """One shard's identity within a run."""

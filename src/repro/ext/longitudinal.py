@@ -18,6 +18,7 @@ from typing import Optional
 from repro.core.experiments.dns_hijack import DnsDataset, DnsHijackExperiment
 from repro.dnssim.hijack import HijackPolicy
 from repro.middlebox.dns_rewrite import TransparentDnsProxy
+from repro.records import slot_init
 from repro.sim.world import World
 from repro.web.server import HijackPageServer
 
@@ -54,6 +55,7 @@ def enable_path_hijack(
     return affected
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WaveResult:
     """One measurement wave's summary."""

@@ -22,6 +22,7 @@ from typing import Optional
 from repro.ext.arbitrary_vpn import ArbitraryVpnService
 from repro.luminati.errors import NoPeersError
 from repro.net.orgmap import AsOrgMap
+from repro.records import slot_init
 from repro.sim.world import World
 from repro.smtpsim.session import SmtpServer
 from repro.smtpsim.stripper import StartTlsStripper
@@ -65,6 +66,7 @@ def plant_striptls_boxes(
     return planted
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class StartTlsProbeRecord:
     """One measured exit node's SMTP view of our server."""
@@ -177,6 +179,7 @@ class StartTlsExperiment:
         return dataset
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class StripTlsRow:
     """One analysis row: an AS and its stripped fraction."""

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.records import slot_init
 
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FaultProfile:
     """Per-seam fault rates; all probabilities are per-decision in [0, 1]."""

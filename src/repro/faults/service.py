@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.faults.plan import FaultPlan
+from repro.records import slot_init
 
 SEAM_COORDINATOR = "coordinator"
 SEAM_EXECUTE = "execute"
@@ -66,6 +67,7 @@ class ServiceFaultError(RuntimeError):
         self.category = SEAM_CATEGORIES[seam]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ServiceFaultProfile:
     """Per-seam injection rates; probabilities are per-decision in [0, 1]."""
@@ -135,6 +137,7 @@ def get_service_profile(name: str) -> ServiceFaultProfile:
         ) from None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ServiceFaultPlan:
     """Deterministic service-seam fault draws, scoped to a study attempt.

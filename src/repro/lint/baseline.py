@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.lint.engine import Finding
+from repro.records import slot_init
 
 BASELINE_VERSION = 1
 
@@ -37,6 +38,7 @@ def _is_placeholder(justification: str) -> bool:
     return not text or text.upper().startswith("TODO")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BaselineEntry:
     """One deliberately-exempted finding fingerprint."""
@@ -59,6 +61,7 @@ class BaselineEntry:
         }
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Baseline:
     """The set of grandfathered fingerprints plus split logic."""

@@ -17,6 +17,8 @@ import tomllib
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.records import slot_init
+
 #: Paths (globs against posix relpaths) exempt from a rule by design.
 DEFAULT_ALLOW: Mapping[str, tuple[str, ...]] = {
     # The simulated clock is the one module allowed to *define* time;
@@ -58,6 +60,7 @@ DEFAULT_FLOW_SINKS: tuple[str, ...] = (
 DEFAULT_WORKER_ENTRYPOINTS: tuple[str, ...] = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LintConfig:
     """Immutable configuration consumed by :class:`repro.lint.LintEngine`."""

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.lint.config import LintConfig
+from repro.records import slot_init
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.lint.rules.base import Rule
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TraceStep:
     """One hop of a whole-program source→sink path trace."""
@@ -34,6 +36,7 @@ class TraceStep:
         return f"{self.path}:{self.line} {self.note}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One rule violation at one source location.
@@ -101,6 +104,7 @@ class Finding:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FileContext:
     """Everything a rule needs to know about the file under analysis."""

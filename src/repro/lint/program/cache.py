@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from repro.lint.engine import Finding
 
 from repro.lint.program.symbols import ModuleSummary
+from repro.records import slot_init
 
 DEFAULT_CACHE_DIRNAME = ".repro-lint-cache"
 CACHE_FILENAME = "cache.json"
@@ -33,6 +34,7 @@ CACHE_FILENAME = "cache.json"
 CACHE_VERSION = 1
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CachedFile:
     """One file's cached analysis output."""

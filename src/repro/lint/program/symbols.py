@@ -38,6 +38,7 @@ from typing import ClassVar, Iterator, Mapping, Sequence
 from repro.lint.config import LintConfig
 from repro.lint.engine import TraceStep
 from repro.lint.rules.determinism import is_wall_clock_call
+from repro.records import slot_init
 
 # -- taint kinds -------------------------------------------------------------
 
@@ -115,6 +116,7 @@ def module_name_for(relpath: str) -> str:
 # -- taint values ------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Witness:
     """The first observed evidence for one taint kind: symbol + path steps."""
@@ -139,6 +141,7 @@ class Witness:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CallTaint:
     """A call whose *result* feeds the tainted value."""
@@ -172,6 +175,7 @@ class CallTaint:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Taint:
     """What feeds a value: direct sources, call results, parameters."""
@@ -263,6 +267,7 @@ def source_taint(kind: str, symbol: str, path: str, line: int, note: str) -> Tai
 # -- summaries ---------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SinkSite:
     """One call whose arguments must stay deterministic."""
@@ -283,6 +288,7 @@ class SinkSite:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CallSite:
     """One call to a project-symbol candidate, with per-argument taint."""
@@ -313,6 +319,7 @@ class CallSite:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Mutation:
     """A write to module-level state from inside a function."""
@@ -329,6 +336,7 @@ class Mutation:
         return cls(str(payload["name"]), int(payload["line"]), str(payload["how"]))  # type: ignore[arg-type]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FunctionSummary:
     """Everything the interprocedural passes know about one function."""
@@ -368,6 +376,7 @@ class FunctionSummary:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ModuleSummary:
     """The whole-program view of one parsed file."""

@@ -45,6 +45,7 @@ from repro.lint.program.symbols import (
     Taint,
     Witness,
 )
+from repro.records import slot_init
 
 KIND_RULES: Mapping[str, str] = {
     KIND_WALLCLOCK: "DET100",
@@ -92,6 +93,7 @@ FLOW_RULE_DOCS: tuple[tuple[str, str, str], ...] = (
 _MAX_DEPTH = 40
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class _SinkRef:
     """The terminal sink of a param→sink chain."""
@@ -101,6 +103,7 @@ class _SinkRef:
     sink: str
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class _Chain:
     """Steps from 'parameter p of f' to a concrete sink."""

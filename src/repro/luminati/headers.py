@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.records import slot_init
+
 HEADER_NAME = "X-Hola-Timeline-Debug"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class AttemptRecord:
     """One attempted exit node: its zID and the outcome ('ok' or a failure reason)."""
@@ -33,6 +36,7 @@ class AttemptRecord:
             raise ValueError(f"outcome must be a single token: {self.outcome!r}")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TimelineDebug:
     """Structured contents of the debug header.

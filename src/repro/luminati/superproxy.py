@@ -25,6 +25,7 @@ from repro.luminati.headers import HEADER_NAME, AttemptRecord, TimelineDebug
 from repro.luminati.registry import ExitNodeRegistry, RegisteredNode
 from repro.luminati.session import SessionTable
 from repro.net.ip import IpError, ip_to_str, str_to_ip
+from repro.records import slot_init
 from repro.tracing import Timeline
 
 #: §2.3: Luminati retries failed requests with up to five exit nodes total.
@@ -37,6 +38,7 @@ ERROR_NO_PEERS = "no_peers"
 ERROR_SUPERPROXY_502 = "superproxy_502"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ProxyOptions:
     """Per-request controls expressed via Luminati username parameters."""
@@ -69,6 +71,7 @@ class ProxyOptions:
         return cls(country=country, session=session, dns_remote=dns_remote)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ProxyResult:
     """What a Luminati client gets back for one proxied request."""

@@ -31,12 +31,14 @@ from dataclasses import dataclass, field
 from typing import Sequence, TYPE_CHECKING
 
 from repro.middlebox.base import stable_choice, stable_fraction
+from repro.records import slot_init
 from repro.web.http import HttpRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric import Internet
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DelaySpec:
     """One scheduled re-fetch: a delay distribution plus a source-IP pool name.

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.records import slot_init
+
 # (code, name, region) — a superset of the countries named in the paper plus a
 # realistic long tail, enough to populate the paper's "172 countries" universe.
 _COUNTRY_TABLE: tuple[tuple[str, str, str], ...] = (
@@ -191,6 +193,7 @@ _COUNTRY_TABLE: tuple[tuple[str, str, str], ...] = (
 )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Country:
     """A country in the simulated world, keyed by its ISO 3166-1 alpha-2 code."""

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
+from repro.records import slot_init
+
 MAX_IPV4 = 2**32 - 1
 
 
@@ -55,6 +57,7 @@ def ip_to_str(ip: int) -> str:
     return f"{(ip >> 24) & 0xFF}.{(ip >> 16) & 0xFF}.{(ip >> 8) & 0xFF}.{ip & 0xFF}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Prefix:
     """A CIDR block: ``network`` is the (masked) base address, ``length`` the mask bits."""

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro.records import slot_init
+
 #: Event kinds: a point-in-time marker, or the two ends of a span.
 KIND_INSTANT = "instant"
 KIND_BEGIN = "begin"
@@ -51,6 +53,7 @@ def freeze_attrs(attrs: Optional[Mapping[str, object]]) -> tuple[str, ...]:
     return flat
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Event:
     """One record on the event bus.

@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 
 from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT, ROW_FIELDS, freeze_attrs
 from repro.obs.metrics import MetricsRegistry
+from repro.records import slot_init
 
 #: Characters of a chunk encoded at a time, by the digest and the JSONL
 #: writer; below glibc's default 128 KiB threshold for serving an
@@ -197,6 +198,7 @@ def _attr(row: tuple, key: str) -> Optional[str]:
     return None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TraceLog:
     """An assembled run trace: ``(shard index, JSONL chunk)`` in index order."""

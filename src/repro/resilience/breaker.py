@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.records import slot_init
+
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
@@ -33,6 +35,7 @@ BREAKER_STATE_VALUES = {
 }
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BreakerPolicy:
     """When a tenant trips, and how long it stays quarantined."""

@@ -5,8 +5,9 @@ here instead of aborting the daemon or spinning forever.  The DLQ is an
 append-only JSONL ledger (``dlq.jsonl`` in the service state dir) folded
 into current state on load, mirroring the service journal's recovery
 contract (:mod:`repro.resilience.ledger`): a torn final line (crash
-mid-append) is dropped on load and cut by the next append, and mid-file
-corruption raises :class:`DLQError` (``repro serve fsck`` reports it).
+mid-append) is dropped on load and cut by the next append, and any other
+line that does not parse to a JSON object raises :class:`DLQError`
+(``repro serve fsck`` reports it).
 
 Three record kinds fold left-to-right:
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.records import slot_init
 from repro.resilience.ledger import append_line, read_ledger
 
 DLQ_FILENAME = "dlq.jsonl"
@@ -44,6 +46,7 @@ class DLQError(RuntimeError):
     """Corrupt DLQ ledger or an operation on a missing entry."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DeadLetterEntry:
     """One parked study and why it died."""
@@ -113,8 +116,10 @@ class DeadLetterQueue:
 
     def _fold_file(self) -> None:
         scan = read_ledger(self._path)
-        if scan.corrupt:
-            raise DLQError(f"corrupt DLQ record at line {scan.corrupt[0]} of {self._path}")
+        problems = scan.problems()
+        if problems:
+            lineno, detail = problems[0]
+            raise DLQError(f"{detail} at line {lineno} of {self._path}")
         for _, record in scan.records:
             self._fold_record(record)
 
@@ -125,7 +130,10 @@ class DeadLetterQueue:
             state = self._state.setdefault(entry.key(), _KeyState())
             state.entry = entry
         elif kind == "retry":
-            key = (str(record["tenant"]), str(record["name"]), int(record["occurrence"]))
+            try:
+                key = (str(record["tenant"]), str(record["name"]), int(record["occurrence"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DLQError(f"malformed retry record: {exc}") from exc
             state = self._state.get(key)
             if state is not None and state.entry is not None:
                 state.base_attempts += state.entry.attempts

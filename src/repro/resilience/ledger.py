@@ -41,6 +41,21 @@ class LedgerScan:
     #: ``(byte offset, length)`` of a torn tail, if the ledger has one.
     torn: Optional[tuple[int, int]] = None
 
+    def problems(self) -> list[tuple[int, str]]:
+        """``(line number, what is wrong)`` for each bad line but a torn tail.
+
+        Both ledgers hold one JSON object a line, so a line that parses to
+        anything else is as bad as one that does not parse.
+        """
+        return sorted(
+            [(lineno, "corrupt mid-file record") for lineno in self.corrupt]
+            + [
+                (lineno, "record is not an object")
+                for lineno, record in self.records
+                if not isinstance(record, dict)
+            ]
+        )
+
 
 def _is_torn(line: bytes) -> bool:
     if not line.strip():

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.records import slot_init
+
 
 def _jitter_fraction(seed: int, key: str, attempt: int) -> float:
     """Uniform-ish fraction in [0, 1) from a keyed SHA-256 draw."""
@@ -22,6 +24,7 @@ def _jitter_fraction(seed: int, key: str, attempt: int) -> float:
     return int(digest[:13], 16) / float(16**13)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class StudyRetryPolicy:
     """How many times a failed study re-enters the queue, and when.

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.records import slot_init
+
 FAILURE_SPEC = "spec"
 FAILURE_WORLD = "world"
 FAILURE_SHARD = "shard"
@@ -100,6 +102,7 @@ def describe_failure(exc: BaseException, limit: int = 200) -> str:
     return text
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FailureRecord:
     """One classified failure: the currency of ledgers and DLQ entries."""

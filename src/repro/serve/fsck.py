@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
+from repro.records import slot_init
 from repro.resilience.ledger import read_ledger
 from repro.serve.cache import SHARD_CACHE_DIR, CacheEntryError, decode_entry
 
@@ -41,6 +42,7 @@ FSCK_REPAIRED = "repaired"
 FSCK_ERROR = "error"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One fsck observation: where, how bad, what (was) to be done."""
@@ -92,16 +94,9 @@ def _check_jsonl(
         return 0
     scan = read_ledger(path)
     intact = sum(1 for _, record in scan.records if isinstance(record, dict))
-    problems = sorted(
-        [(lineno, "corrupt mid-file record (not repairable)") for lineno in scan.corrupt]
-        + [
-            (lineno, "record is not an object")
-            for lineno, record in scan.records
-            if not isinstance(record, dict)
-        ]
-    )
+    problems = scan.problems()
     for lineno, detail in problems:
-        report.note(path, FSCK_ERROR, f"line {lineno}: {detail}")
+        report.note(path, FSCK_ERROR, f"line {lineno}: {detail} (not repairable)")
     if scan.torn is not None:
         offset, length = scan.torn
         if repair:

@@ -71,10 +71,10 @@ class ServiceJournal:
         raises :class:`ServiceJournalError`.
         """
         scan = read_ledger(self.path)
-        if scan.corrupt:
-            raise ServiceJournalError(
-                f"{self.path}:{scan.corrupt[0]}: corrupt journal line"
-            )
+        problems = scan.problems()
+        if problems:
+            lineno, detail = problems[0]
+            raise ServiceJournalError(f"{self.path}:{lineno}: {detail}")
         return [record for _, record in scan.records]
 
     def studies(self) -> list[dict]:

@@ -23,11 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from repro.records import slot_init
+
 
 class QuotaExceeded(RuntimeError):
     """A tenant tried to queue more studies than its quota allows."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TenantPolicy:
     """One tenant's quota and fair-share weight."""
@@ -44,6 +47,7 @@ class TenantPolicy:
             raise ValueError(f"weight must be positive: {self.weight}")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Submission:
     """One queued study: identity, ownership, and the request to execute.

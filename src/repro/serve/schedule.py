@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from repro.engine.sharding import derive_seed
+from repro.records import slot_init
 
 #: Resolution of the keyed-hash jitter fraction.
 _JITTER_RESOLUTION = 2**32
@@ -64,6 +65,7 @@ def parse_interval(value: Union[str, int, float]) -> float:
         raise ValueError(f"bad interval spec: {value!r}") from None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Recurrence:
     """A recurring fire pattern: ``start + n * interval``, plus keyed jitter.

@@ -52,6 +52,7 @@ from repro.engine.study import EngineRun, StudySpec, run_study
 from repro.faults.service import ServiceFaultPlan
 from repro.net.clock import SimClock
 from repro.obs import SERVICE_BUCKETS, MetricsRegistry
+from repro.records import slot_init
 from repro.resilience import (
     BREAKER_OPEN,
     FAILURE_CATEGORIES,
@@ -73,6 +74,7 @@ from repro.serve.schedule import Recurrence
 from repro.sim import World, build_world
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class EngineStudyRequest:
     """A request to run one engine study (the cacheable, digestable kind)."""
@@ -96,6 +98,7 @@ class CallableRequest:
     sim_duration: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CompletedStudy:
     """One study's ledger entry: identity, timing, and result fingerprints."""
@@ -156,6 +159,7 @@ class CompletedStudy:
         return record
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FailedStudy:
     """One failed study attempt's ledger entry: identity, classification, fate.
@@ -216,6 +220,7 @@ class _FaultyCache:
         self._inner.put(key, result)  # type: ignore[attr-defined]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class _Registration:
     """One recurring study registered with the scheduler."""

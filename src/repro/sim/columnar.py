@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, overload
 
 from repro.hosts import ExitNodeHost
 from repro.luminati.registry import zid_of
+from repro.records import slot_init
 
 if TYPE_CHECKING:
     from repro.fabric import Internet
@@ -80,6 +81,7 @@ class StringInterner:
         return iter(self._values)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class IspRecord:
     """Everything shared by all nodes of one ISP, stored once.

@@ -13,6 +13,7 @@ against measured results; the experiment code never reads them.
 from __future__ import annotations
 
 import bisect
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from repro.net.asn import RouteViewsTable
 from repro.net.geo import CountryRegistry
 from repro.net.ip import IpAllocator, Prefix, str_to_ip
 from repro.net.orgmap import AsOrgMap
+from repro.records import slot_init
 from repro.sim.columnar import (
     HIJACK_VECTORS,
     NO_ENTRY,
@@ -85,6 +87,7 @@ GENERIC_RESOLVER_LOAD = 130
 MINOR_RESOLVER_LOAD = 6
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SiteRecord:
     """A HTTPS measurement target: domain, address, and (for our invalid
@@ -250,6 +253,10 @@ class _WorldBuilder:
         self._as_cursors: dict[int, IpAllocator] = {}
         #: Per-country pre-resolved draw tables (payloads as column indices).
         self._country_draws: dict[str, tuple] = {}
+        #: Serials for the certificates the builder signs itself, counted per
+        #: build as a CA counts its own: the N-th build in a process mints
+        #: the same bytes as the first.
+        self._serials = itertools.count(1)
         # Filled during build:
         self.google: GooglePublicDns
 
@@ -407,7 +414,9 @@ class _WorldBuilder:
         # Three invalid sites under our control (§6.1).
         self.invalid_sites = []
         selfsigned_domain = "invalid-selfsigned.tft-example.net"
-        selfsigned = CertificateChain((self_signed_certificate(selfsigned_domain),))
+        selfsigned = CertificateChain(
+            (self_signed_certificate(selfsigned_domain, serial=next(self._serials)),)
+        )
         expired_domain = "invalid-expired.tft-example.net"
         expired_leaf = self.intermediates[0].issue(
             expired_domain, not_before=-2 * 365 * 86_400.0, not_after=-86_400.0

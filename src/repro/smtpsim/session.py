@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.records import slot_init
 from repro.tlssim.certs import CertificateChain
 
 #: The capability token whose in-flight removal is the attack under study.
@@ -19,6 +20,7 @@ STARTTLS_CAPABILITY = "STARTTLS"
 DEFAULT_CAPABILITIES = ("PIPELINING", "SIZE 35882577", "8BITMIME", STARTTLS_CAPABILITY)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SmtpDialogue:
     """What one client observed when speaking to (what it thinks is) a server."""

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
+from repro.records import slot_init
+
 # Serial source for *standalone* self-signed certificates only: process-wide,
 # so separately minted certs never collide.  CAs must NOT use it — they keep
 # per-instance counters, making every certificate a CA issues a deterministic
@@ -27,6 +29,7 @@ from typing import Iterator, Optional
 _serial_counter = itertools.count(1)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class KeyPair:
     """An opaque key identity.  Equality of ``key_id`` models "same public key"."""
@@ -39,6 +42,7 @@ class KeyPair:
         return cls(key_id=hashlib.sha256(f"key:{seed}".encode("ascii")).hexdigest()[:24])
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Certificate:
     """One certificate in a chain.
@@ -98,6 +102,7 @@ class Certificate:
         return hashlib.sha256(material.encode("ascii")).hexdigest()[:32]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CertificateChain:
     """A leaf-first certificate chain as presented in a TLS handshake."""
@@ -216,8 +221,14 @@ def self_signed_certificate(
     not_before: float = 0.0,
     not_after: float = CertificateAuthority.DEFAULT_LIFETIME,
     seed: Optional[str] = None,
+    serial: Optional[int] = None,
 ) -> Certificate:
-    """A standalone self-signed certificate (the paper's invalid test site #1)."""
+    """A standalone self-signed certificate (the paper's invalid test site #1).
+
+    Without ``serial`` the certificate takes the next process-wide serial;
+    a caller that must mint the same bytes in every process (the world
+    builder) passes one from its own counter.
+    """
     key = KeyPair.generate(seed if seed is not None else f"self:{subject_cn}")
     return Certificate(
         subject_cn=subject_cn,
@@ -226,7 +237,7 @@ def self_signed_certificate(
         signer_key_id=key.key_id,
         not_before=not_before,
         not_after=not_after,
-        serial=next(_serial_counter),
+        serial=serial if serial is not None else next(_serial_counter),
         is_ca=False,
         issuer_org=subject_cn,
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.records import slot_init
 from repro.tlssim.certs import CertificateChain
 from repro.tlssim.rootstore import RootStore
 
@@ -36,6 +37,7 @@ class ValidationError(enum.Enum):
     SELF_SIGNED = "leaf is self-signed and untrusted"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ValidationResult:
     """Outcome of validating one chain: overall verdict plus every failure found."""

@@ -22,8 +22,10 @@ from typing import Iterator
 from repro.net.clock import SimClock
 from repro.obs.events import FIGURE_STEP
 from repro.obs.recorder import TraceRecorder
+from repro.records import slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TraceStep:
     """One arrow in a timeline diagram: ``actor`` does ``action`` (to ``target``)."""
@@ -44,6 +46,7 @@ def _figure_bus() -> TraceRecorder:
     return TraceRecorder(SimClock())
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Timeline:
     """An ordered protocol trace with a title, renderable as a figure.

@@ -88,23 +88,22 @@ def make_html(size: int, seed: str = "tft-html") -> bytes:
 
 def make_js(size: int, seed: str = "tft-js") -> bytes:
     """An un-minified JavaScript file of exactly ``size`` bytes."""
-    lines = [
-        "(function () {",
-        '    "use strict";',
-        "    var measurements = [];",
-    ]
-    counter = 0
-    total = sum(len(line) + 1 for line in lines)
-    # Grow readable function bodies until near the target, then pad exactly.
-    while total < size - 512:
-        token = hashlib.sha256(f"{seed}:{counter}".encode("ascii")).hexdigest()[:12]
-        lines.append(f"    function probe_{token}() {{")
-        lines.append(f'        measurements.push("{token}");')
-        lines.append("    }")
-        total += sum(len(line) + 1 for line in lines[-3:])
-        counter += 1
-    lines.append("})();")
-    return _pad_to("\n".join(lines) + "\n", size, "/*", "*/")
+    head = '(function () {\n    "use strict";\n    var measurements = [];\n'
+    # Readable function bodies grow the file until it is within 512 bytes
+    # of the target, then a comment pads it exactly.  Every token is 12 hex
+    # characters, so every probe is the same length and their count is
+    # known up front.
+    probe_bytes = len(_js_probe("0" * 12))
+    count = max(0, -(-(size - 512 - len(head)) // probe_bytes))
+    probes = "".join(
+        _js_probe(hashlib.sha256(f"{seed}:{counter}".encode("ascii")).hexdigest()[:12])
+        for counter in range(count)
+    )
+    return _pad_to(head + probes + "})();\n", size, "/*", "*/")
+
+
+def _js_probe(token: str) -> str:
+    return f'    function probe_{token}() {{\n        measurements.push("{token}");\n    }}\n'
 
 
 def make_css(size: int, seed: str = "tft-css") -> bytes:

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
+from repro.records import slot_init
 
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HttpRequest:
     """A plain-HTTP request as observed on the wire."""
@@ -51,6 +54,7 @@ class HttpRequest:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HttpResponse:
     """An HTTP response: status line, headers, body bytes."""
@@ -97,6 +101,7 @@ class HttpResponse:
         return 200 <= self.status < 300
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class AccessLogEntry:
     """One served request, as recorded by the measurement web server."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.records import slot_init
+
 MAGIC = b"SJPG"
 HEADER_LEN = len(MAGIC) + 1 + 4
 
@@ -26,6 +28,7 @@ class JpegFormatError(ValueError):
     """Raised when bytes do not parse as a synthetic JPEG."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SyntheticJpeg:
     """Decoded form: a quality level in [1, 100] and the payload bytes."""

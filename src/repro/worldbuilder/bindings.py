@@ -14,6 +14,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
+from repro.records import slot_init
+
 
 class IspDraftView(Protocol):
     """What a selector may inspect: the draft ISP being composed."""
@@ -30,6 +32,7 @@ def stable_rank(*parts: object) -> int:
     return zlib.crc32(payload)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Selector:
     """Declarative ISP filter: country codes, names, prefixes, or a predicate.
@@ -100,6 +103,7 @@ def where(name: str, predicate: Callable[[IspDraftView], bool]) -> Selector:
     return Selector(predicate_name=name, predicate=predicate)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Binding:
     """One attachment: a selector plus an optional deterministic pick.

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.records import slot_init
 
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SpecIssue:
     """One problem found while validating a composed world spec.

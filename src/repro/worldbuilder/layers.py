@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Optional, Union
 
+from repro.records import slot_init
 from repro.sim.profiles import (
     CountrySpec,
     IspSpec,
@@ -137,6 +138,7 @@ class CountryDraft:
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ExpectedFinding:
     """One §4–§7 finding a compiled world's study must rediscover.
@@ -223,6 +225,7 @@ class ExpectedFinding:
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ResolverHijacker:
     """§4: ISP resolvers rewrite NXDOMAIN to a landing page.
@@ -273,6 +276,7 @@ class ResolverHijacker:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Transcoder:
     """§5: a (typically mobile) AS recompressing images in flight."""
@@ -299,6 +303,7 @@ class Transcoder:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HttpProxy:
     """§8 (Netalyzr-style): a transparent HTTP proxy announcing a Via token."""
@@ -323,6 +328,7 @@ class HttpProxy:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WebFilter:
     """§5: an in-path content filter stamping pages with a tag.
@@ -343,6 +349,7 @@ class WebFilter:
         return None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Monitor:
     """§7: an ISP-level content monitor re-fetching observed URLs."""
@@ -369,6 +376,7 @@ class Monitor:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TlsProxy:
     """§6/§8: an ISP-operated in-path TLS interception proxy.

@@ -9,9 +9,12 @@ the way the service that loads it does.
 
 from __future__ import annotations
 
-from repro.resilience import DeadLetterEntry, DeadLetterQueue
+import pytest
+
+from repro.cli import main
+from repro.resilience import DeadLetterEntry, DeadLetterQueue, DLQError
 from repro.resilience.ledger import append_line, read_ledger
-from repro.serve import ServiceJournal, fsck_state_dir
+from repro.serve import ServiceJournal, ServiceJournalError, fsck_state_dir
 
 
 def park(dlq: DeadLetterQueue, occurrence: int) -> None:
@@ -129,3 +132,49 @@ class TestReadRule:
         kept = path.read_bytes()[: scan.torn[0]]
         append_line(path, '{"c":3}')
         assert path.read_bytes() == kept + b'{"c":3}\n'
+
+
+class TestNonObjectLines:
+    """Both ledgers hold one JSON object a line; any other value is damage."""
+
+    def test_dlq_names_the_line(self, tmp_path):
+        path = tmp_path / "dlq.jsonl"
+        park(DeadLetterQueue(path), 0)
+        append_line(path, "5")
+        with pytest.raises(DLQError, match="line 2"):
+            DeadLetterQueue(path)
+
+    def test_journal_names_the_line(self, tmp_path):
+        path = tmp_path / "service.jsonl"
+        journal = ServiceJournal(path)
+        journal.begin_run({"seed": 5})
+        append_line(path, "5")
+        with pytest.raises(ServiceJournalError, match="service.jsonl:2: record is not an object"):
+            journal.studies()
+        with pytest.raises(ServiceJournalError, match="service.jsonl:2"):
+            journal.failures()
+
+    def test_a_malformed_retry_record_is_a_dlq_error(self, tmp_path):
+        path = tmp_path / "dlq.jsonl"
+        append_line(path, '{"kind":"retry","tenant":"acme"}')
+        with pytest.raises(DLQError, match="malformed retry record"):
+            DeadLetterQueue(path)
+
+    def test_fsck_reports_what_the_loaders_reject(self, tmp_path):
+        append_line(tmp_path / "dlq.jsonl", "5")
+        append_line(tmp_path / "service.jsonl", "[1]")
+        report = fsck_state_dir(tmp_path)
+        assert sorted(finding.detail for finding in report.errors) == [
+            "line 1: record is not an object (not repairable)",
+        ] * 2
+
+    @pytest.mark.parametrize("bad_line", ["5", "garbage{"])
+    def test_dlq_command_reports_a_bad_ledger_in_one_line(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "dlq.jsonl"
+        park(DeadLetterQueue(path), 0)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(bad_line + '\n{"kind":"purge"}\n')
+        assert main(["serve", "dlq", "list", "--state-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve dlq: ") and "line 2" in err
+        assert len(err.splitlines()) == 1

@@ -1,5 +1,7 @@
 """Structural invariants of generated worlds."""
 
+import pickle
+
 import pytest
 
 from repro.dnssim.resolver import GooglePublicDns
@@ -7,6 +9,7 @@ from repro.net.geo import CountryRegistry
 from repro.sim import WorldConfig, build_world
 from repro.sim.config import SCALE_ENV_VAR
 from repro.sim.profiles import NAMED_COUNTRIES, tail_hijack_ratio, tail_population
+from tests.conftest import tiny_country_specs
 
 
 class TestWorldConfig:
@@ -153,6 +156,14 @@ class TestWorldStructure:
         assert [h.zid for h in a.hosts] == [h.zid for h in b.hosts]
         assert [h.ip for h in a.hosts] == [h.ip for h in b.hosts]
         assert a.truth.hijacked_nodes == b.truth.hijacked_nodes
+
+    def test_successive_builds_pickle_equal(self):
+        # A shard replaying a world in a process that already built one must
+        # get the bytes a fresh worker's first build gets: nothing the
+        # builder mints may draw on a process-wide counter.
+        config = WorldConfig(seed=7)
+        first = pickle.dumps(build_world(config, tiny_country_specs()))
+        assert pickle.dumps(build_world(config, tiny_country_specs())) == first
 
     def test_seed_changes_world(self):
         a = build_world(WorldConfig(scale=0.005, seed=3, include_rare_tail=False))

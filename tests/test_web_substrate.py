@@ -1,5 +1,7 @@
 """Tests for the HTTP substrate: messages, JPEG container, corpus, servers."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from repro.web.content import (
     make_css,
     make_html,
     make_js,
+    _pad_to,
 )
 from repro.web.http import AccessLog, AccessLogEntry, HttpRequest, HttpResponse
 from repro.web.jpeg import (
@@ -163,6 +166,35 @@ class TestContentCorpus:
         assert len(make_html(5000)) == 5000
         assert len(make_js(100_000)) == 100_000
         assert len(make_css(2048)) == 2048
+
+    @pytest.mark.parametrize("seed", ["tft-js", "tft-jsb"])
+    @pytest.mark.parametrize(
+        "size",
+        [-1, 0, 69, 70, 71, 513, 572, 573, 657, 658, 1024, 4096, 100_000, 258 * 1024, 264_192],
+    )
+    def test_js_matches_the_line_loop(self, size, seed):
+        # The growth loop make_js replaced: the byte oracle, raises included.
+        def loop(size: int, seed: str) -> bytes:
+            lines = ["(function () {", '    "use strict";', "    var measurements = [];"]
+            counter = 0
+            total = sum(len(line) + 1 for line in lines)
+            while total < size - 512:
+                token = hashlib.sha256(f"{seed}:{counter}".encode("ascii")).hexdigest()[:12]
+                lines.append(f"    function probe_{token}() {{")
+                lines.append(f'        measurements.push("{token}");')
+                lines.append("    }")
+                total += sum(len(line) + 1 for line in lines[-3:])
+                counter += 1
+            lines.append("})();")
+            return _pad_to("\n".join(lines) + "\n", size, "/*", "*/")
+
+        if size < 70:
+            with pytest.raises(ValueError):
+                loop(size, seed)
+            with pytest.raises(ValueError):
+                make_js(size, seed)
+        else:
+            assert make_js(size, seed) == loop(size, seed)
 
     def test_html_is_wellformed_enough(self):
         html = make_html(9 * 1024)
