@@ -431,6 +431,7 @@ def _cmd_serve_fsck(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.resilience import DLQError
     from repro.serve import build_service, load_specfile, parse_interval
 
     if args.specfile == "dlq":
@@ -445,13 +446,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         payload["queue_bound"] = args.queue_bound
     if args.shard_attempts is not None:
         payload["shard_attempts"] = args.shard_attempts
-    service, horizon = build_service(
-        payload,
-        workers=args.workers,
-        state_dir=args.state_dir,
-        service_faults=args.service_faults,
-        service_fault_seed=args.service_fault_seed,
-    )
+    try:
+        service, horizon = build_service(
+            payload,
+            workers=args.workers,
+            state_dir=args.state_dir,
+            service_faults=args.service_faults,
+            service_fault_seed=args.service_fault_seed,
+        )
+    except DLQError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 1
     if args.until is not None:
         horizon = parse_interval(args.until)
     entries = payload.get("studies", [])

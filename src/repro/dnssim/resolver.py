@@ -73,6 +73,14 @@ class RecursiveResolver:
         queries).
     """
 
+    # Constant per-resolver hash prefixes (see _hash_prefix): these
+    # decisions run once per query, millions of times per study.  Each is
+    # computed only where its decision is a draw — a pool of egress
+    # addresses, a hijack rate below 1 — since most of the thousand-odd
+    # resolvers a world builds have neither.
+    _egress_prefix: int
+    _hijack_prefix: int
+
     def __init__(
         self,
         service_ip: int,
@@ -94,10 +102,10 @@ class RecursiveResolver:
             tuple(egress_ips) if egress_ips else (service_ip,)
         )
         self.answers_direct_probes = answers_direct_probes
-        # Constant per-resolver hash prefixes (see _hash_prefix): these
-        # decisions run once per query, millions of times per study.
-        self._egress_prefix = _hash_prefix("egress", service_ip)
-        self._hijack_prefix = _hash_prefix("hijack", service_ip)
+        if len(self._egress_ips) > 1:
+            self._egress_prefix = _hash_prefix("egress", service_ip)
+        if hijack is not None and hijack_rate < 1.0:
+            self._hijack_prefix = _hash_prefix("hijack", service_ip)
 
     def egress_for(self, client_ip: int) -> int:
         """The egress address used for a given client's queries (stable per client)."""

@@ -5,7 +5,10 @@ or interleaving — holds because a shard never shares mutable state with its
 siblings.  Each shard rebuilds the *entire* world from the same
 ``(WorldConfig, countries)`` pair (deterministic by construction), then
 measures only the plan slice it owns, pinning each planned node via a
-Luminati session before every attempt.  A shard's result is therefore a pure
+Luminati session before every attempt.  The one thing a replay takes from
+its coordinator is the §5.1 content corpus: immutable bytes that are a pure
+function of the world seed, so serving them instead of regenerating them
+changes nothing a shard can observe.  A shard's result is therefore a pure
 function of its task, and the executor that ran it is unobservable.
 
 Executors get one of two module-level entry points over one shard body,
@@ -20,7 +23,7 @@ store them.  A task marked ``contain`` comes back as a classified
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.experiments.dataset import Dataset
@@ -42,6 +45,7 @@ from repro.obs import OBS_OFF, OBS_TRACE, MetricsRegistry, TraceRecorder, fold_r
 from repro.resilience.taxonomy import classify_failure, describe_failure
 from repro.sim import World, WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
+from repro.web.content import ContentCorpus
 
 if TYPE_CHECKING:
     from repro.faults.service import ServiceFaultPlan
@@ -79,6 +83,10 @@ class ShardTask:
     attempt: int = 0
     faults: Optional["ServiceFaultPlan"] = None
     contain: bool = False
+    #: The coordinator's content corpus, which the replay serves instead of
+    #: regenerating it (``None`` generates it).  It is determined by
+    #: ``config``, so it is left out of eq, repr and the cache key.
+    corpus: Optional[ContentCorpus] = field(default=None, compare=False, repr=False)
 
 
 def measure_planned_node(
@@ -149,7 +157,7 @@ def run_shard(task: ShardTask) -> tuple[dict[str, Dataset], ShardMetrics, Option
     shard's private simulated clock, the payload is a pure function of the
     task — the same determinism contract the datasets honour.
     """
-    world = build_world(task.config, task.countries)
+    world = build_world(task.config, task.countries, task.corpus)
     recorder: Optional[TraceRecorder] = None
     if task.obs != OBS_OFF:
         recorder = TraceRecorder(world.internet.clock)

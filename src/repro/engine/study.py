@@ -382,11 +382,16 @@ def run_study(
     shard_cache: Optional[ShardCache] = None,
     faults: Optional["ServiceFaultPlan"] = None,
     shard_attempts: int = 1,
+    plans: Optional[Mapping[str, tuple[str, ...]]] = None,
 ) -> EngineRun:
     """Execute one study run end to end.
 
     ``world`` optionally supplies the coordinator world (tests reuse one to
     avoid rebuilding; it must match ``spec.config``/``spec.countries``).
+    Its content corpus rides on every shard task, so shard replays serve it
+    instead of regenerating it.  ``plans`` optionally supplies what
+    :func:`compute_plans` returns for ``spec`` on that world (a service
+    re-crawling the same spec keeps them); the run holds its own copy.
     ``analyses=False`` skips the analysis stage and leaves
     :attr:`EngineRun.results` as ``None`` — raw-dataset comparisons don't
     need tables.  ``shard_cache`` is the engine's one store for completed
@@ -415,7 +420,7 @@ def run_study(
         coordinator = (
             world if world is not None else build_world(spec.config, spec.countries)
         )
-        plans = compute_plans(coordinator, spec)
+        plans = compute_plans(coordinator, spec) if plans is None else dict(plans)
     digest = run_digest(spec, plans)
     # The world's own fingerprint, alongside the run digest: two runs agree
     # on it exactly when they measured the same topology, however it was
@@ -438,6 +443,7 @@ def run_study(
             obs=spec.obs,
             faults=faults,
             contain=faults is not None or shard_attempts > 1,
+            corpus=coordinator.corpus,
         )
         for shard_spec in shard_specs
     ]

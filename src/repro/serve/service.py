@@ -73,6 +73,10 @@ from repro.serve.queue import QuotaExceeded, StudyQueue, Submission, TenantPolic
 from repro.serve.schedule import Recurrence
 from repro.sim import World, build_world
 
+#: A plan memo key: the coordinator key, then the spec's ``seed``,
+#: ``window``, ``stop_threshold`` and ``max_probes``.
+_PlanKey = tuple[str, int, int, float, Optional[int]]
+
 
 @slot_init
 @dataclass(frozen=True, slots=True)
@@ -248,10 +252,14 @@ class Service:
     worker count is everywhere unobservable in results.
     """
 
-    #: Coordinator worlds kept alive for plan computation, newest-first
-    #: eviction.  Tenants sharing a world config share the coordinator —
-    #: one build amortizes across every study on that config.
+    #: Coordinator worlds kept alive for plan computation, the first built
+    #: evicted first.  Tenants sharing a world config share the coordinator
+    #: — one build amortizes across every study on that config.
     MAX_WORLDS = 4
+    #: Crawl-plan sets kept for re-crawls, the least recently used evicted
+    #: first; a coordinator's eviction drops its plan sets too.  One set is
+    #: about 1.7 MB at scale 0.02.
+    MAX_PLANS = 16
 
     def __init__(
         self,
@@ -295,6 +303,11 @@ class Service:
         self._fires: list[tuple[float, int, int]] = []
         self._worlds: dict[str, World] = {}
         self._world_order: list[str] = []
+        #: Plans by coordinator key plus every spec field
+        #: :func:`~repro.engine.study.compute_plans` reads, least recently
+        #: used first.  Entries are filled from ``run.plans``, so planning
+        #: still happens inside :func:`run_study`, and are private copies.
+        self._plans: dict[_PlanKey, dict[str, tuple[str, ...]]] = {}
         self._journal_open = False
         # -- resilience state ------------------------------------------------
         self.retry_policy = retry if retry is not None else StudyRetryPolicy()
@@ -786,10 +799,12 @@ class Service:
         with self._stage("coordinator"):
             if plan is not None:
                 plan.check("coordinator")
-            world = self._coordinator(spec)
+            world_key, world = self._coordinator(spec)
         cache = self.cache
         if plan is not None and plan.profile.cache_rate > 0:
             cache = _FaultyCache(self.cache, plan)
+        plans_key = (world_key, spec.seed, spec.window, spec.stop_threshold, spec.max_probes)
+        plans = self._plans.get(plans_key)
         with self._stage("engine"):
             run = run_study(
                 spec,
@@ -799,7 +814,13 @@ class Service:
                 shard_cache=cache,
                 faults=plan,
                 shard_attempts=self.shard_attempts,
+                plans=plans,
             )
+        # Least recently used first: a hit or a fill moves its entry last.
+        self._plans.pop(plans_key, None)
+        self._plans[plans_key] = plans if plans is not None else dict(run.plans)
+        while len(self._plans) > self.MAX_PLANS:
+            del self._plans[next(iter(self._plans))]
         # Shards execute concurrently, so the study occupies the service
         # timeline for as long as its slowest shard ran in simulated time.
         self.clock.advance(
@@ -864,8 +885,8 @@ class Service:
             payload=dict(payload) if payload is not None else None,
         )
 
-    def _coordinator(self, spec: StudySpec) -> World:
-        """The (cached) coordinator world for a spec's config."""
+    def _coordinator(self, spec: StudySpec) -> tuple[str, World]:
+        """The (cached) coordinator world for a spec's config, with its key."""
         key = stable_digest(
             "coordinator", sorted(asdict(spec.config).items()), spec.countries
         )
@@ -874,10 +895,12 @@ class Service:
             if len(self._world_order) >= self.MAX_WORLDS:
                 evicted = self._world_order.pop(0)
                 del self._worlds[evicted]
+                for plan_key in [key for key in self._plans if key[0] == evicted]:
+                    del self._plans[plan_key]
             world = build_world(spec.config, spec.countries)
             self._worlds[key] = world
             self._world_order.append(key)
-        return world
+        return key, world
 
     # -- introspection ------------------------------------------------------
 

@@ -70,7 +70,7 @@ from repro.tlssim.certs import (
 )
 from repro.tlssim.handshake import RotatingTlsEndpoint, StaticTlsEndpoint
 from repro.tlssim.rootstore import RootStore, build_osx_root_store
-from repro.web.content import ContentCorpus
+from repro.web.content import PAPER_OBJECT_SIZES, ContentCorpus
 from repro.web.server import HijackPageServer, MeasurementWebServer
 
 # Zones the experimenters control.
@@ -232,8 +232,16 @@ def _draw_indexed(applicable, u: float) -> int:
 class _WorldBuilder:
     """Stateful assembly of one world (one-shot; use :func:`build_world`)."""
 
-    def __init__(self, config: WorldConfig, countries: Optional[Sequence[CountrySpec]]) -> None:
+    def __init__(
+        self,
+        config: WorldConfig,
+        countries: Optional[Sequence[CountrySpec]],
+        corpus: Optional[ContentCorpus] = None,
+    ) -> None:
         self.config = config
+        #: The §5.1 objects; a corpus handed in is checked before anything
+        #: is built.
+        self.corpus = _world_corpus(config, corpus)
         self.rng = random.Random(f"world:{config.seed}")
         self.registry_countries = CountryRegistry()
         self.internet = Internet()
@@ -308,7 +316,8 @@ class _WorldBuilder:
     # -- infrastructure ---------------------------------------------------------
 
     def build_infrastructure(self) -> None:
-        """Research servers, Hola, Google DNS, the PKI, and the content corpus."""
+        """Research servers, Hola, Google DNS, the PKI, and the web server
+        that serves the content corpus."""
         config = self.config
         clock = self.internet.clock
 
@@ -346,7 +355,6 @@ class _WorldBuilder:
         self.probe_dns.set_zone_default(RecordPolicy(address=self.web_ip))
         self.internet.dns_root.register(self.auth_dns)
         self.internet.dns_root.register(self.probe_dns)
-        self.corpus = ContentCorpus.build(seed=f"tft-{config.seed}")
         self.web_server = MeasurementWebServer(self.web_ip, clock, self.corpus)
         self.internet.register_web_server(self.web_ip, self.web_server)
 
@@ -1293,18 +1301,39 @@ def default_country_universe() -> tuple[CountrySpec, ...]:
     return tuple(specs)
 
 
+def _world_corpus(config: WorldConfig, corpus: Optional[ContentCorpus]) -> ContentCorpus:
+    """The world's §5.1 objects: ``corpus`` if it is what ``config`` generates."""
+    seed = f"tft-{config.seed}"
+    if corpus is None:
+        return ContentCorpus.build(seed=seed)
+    sizes = {kind: len(corpus.body(kind)) for kind in PAPER_OBJECT_SIZES}
+    if corpus.seed != seed or sizes != PAPER_OBJECT_SIZES:
+        raise ValueError(
+            f"corpus generated from seed {corpus.seed!r} at sizes {sizes}; "
+            f"world seed {config.seed} needs {seed!r} at the paper's sizes"
+        )
+    return corpus
+
+
 def build_world(
     config: Optional[WorldConfig] = None,
     countries: Optional[Sequence[CountrySpec]] = None,
+    corpus: Optional[ContentCorpus] = None,
 ) -> World:
     """Build a fully wired world.
 
     ``countries`` overrides the profile universe (tests use small custom
     worlds); by default every country in the registry is populated, with the
     paper's named behaviours planted.
+
+    ``corpus`` supplies the §5.1 content objects instead of generating them:
+    a shard replay passes its coordinator's (:attr:`World.corpus`), which is
+    immutable bytes and a pure function of ``config.seed``, so the replay is
+    the same world either way.  A corpus generated from another seed, or at
+    other than the paper's sizes, raises ``ValueError``.
     """
     cfg = config if config is not None else WorldConfig()
-    builder = _WorldBuilder(cfg, countries)
+    builder = _WorldBuilder(cfg, countries, corpus)
     builder.build_infrastructure()
     builder.build_sites()
     builder.build_public_dns()

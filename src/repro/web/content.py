@@ -126,13 +126,18 @@ class ContentCorpus:
 
     Built once per world; both the measurement web server (which serves the
     objects) and the experiment (which diffs what came back) reference the
-    same instance, so detection is a pure byte comparison.
+    same instance, so detection is a pure byte comparison.  Every field is
+    immutable, so a shard replay can serve its coordinator's corpus instead
+    of regenerating it; ``seed`` is what :meth:`build` generated the objects
+    from, so a world builder handed a corpus can check it is the one it
+    would build.
     """
 
     html: bytes
     jpeg: bytes
     js: bytes
     css: bytes
+    seed: str
 
     PATHS = {
         ObjectKind.HTML: "/objects/page.html",
@@ -152,6 +157,7 @@ class ContentCorpus:
             jpeg=make_jpeg(actual[ObjectKind.JPEG], seed=f"{seed}-jpeg"),
             js=make_js(actual[ObjectKind.JS], seed=f"{seed}-js"),
             css=make_css(actual[ObjectKind.CSS], seed=f"{seed}-css"),
+            seed=seed,
         )
 
     def body(self, kind: ObjectKind) -> bytes:

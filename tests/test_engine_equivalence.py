@@ -8,6 +8,8 @@ of a run's identity (per-shard worlds replay different timing histories),
 which the digest tests pin down.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import (
@@ -19,6 +21,7 @@ from repro.engine import (
     run_digest,
     run_shard,
     run_study,
+    shard_cache_key,
 )
 from repro.engine.experiments import EXPERIMENT_ORDER
 from repro.sim import WorldConfig, build_world
@@ -120,6 +123,26 @@ class TestWorkerEquivalence:
 
 
 class TestRunIdentity:
+    def test_corpus_is_not_part_of_a_task(self, coordinator_world):
+        # Shard tasks carry the coordinator's corpus so replays need not
+        # regenerate it; it is a function of the config, so it must not
+        # move a task's identity or its cache key.
+        spec = engine_spec(1, 1)
+        plans = compute_plans(coordinator_world, spec)
+        (shard_spec,) = make_shard_specs(spec.seed, 1)
+        bare = ShardTask(
+            config=spec.config,
+            countries=spec.countries,
+            spec=shard_spec,
+            plans=tuple((name, plans[name]) for name in EXPERIMENT_ORDER),
+            retry=spec.retry,
+            validity=spec.validity,
+        )
+        carried = replace(bare, corpus=coordinator_world.corpus)
+        assert carried == bare and hash(carried) == hash(bare)
+        assert repr(carried) == repr(bare)
+        assert shard_cache_key(carried) == shard_cache_key(bare)
+
     def test_digest_ignores_workers(self, coordinator_world):
         plans = compute_plans(coordinator_world, engine_spec(3, 1))
         assert run_digest(engine_spec(3, 1), plans) == run_digest(engine_spec(3, 4), plans)

@@ -178,3 +178,14 @@ class TestNonObjectLines:
         err = capsys.readouterr().err
         assert err.startswith("serve dlq: ") and "line 2" in err
         assert len(err.splitlines()) == 1
+
+    def test_serve_command_reports_a_bad_dlq_in_one_line(self, tmp_path, capsys):
+        spec = tmp_path / "queue.json"
+        spec.write_text('{"seed": 5, "studies": []}', encoding="utf-8")
+        state = tmp_path / "state"
+        state.mkdir()
+        append_line(state / "dlq.jsonl", "5")
+        assert main(["serve", str(spec), "--state-dir", str(state)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve: record is not an object at line 1 of ")
+        assert len(err.splitlines()) == 1

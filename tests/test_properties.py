@@ -7,12 +7,17 @@ stable per-node draws, session expiry.
 
 import random
 import re
+import zlib
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import injected_fragment, injection_signature, widget_token
 from repro.core.reports import render_table, within_factor
+from repro.dnssim.authoritative import DnsRoot
+from repro.dnssim.hijack import HijackPolicy
+from repro.dnssim.resolver import RecursiveResolver, _hash_prefix
 from repro.luminati.headers import AttemptRecord, TimelineDebug
 from repro.luminati.session import SessionTable
 from repro.middlebox.base import stable_fraction
@@ -153,6 +158,56 @@ class TestStableDraws:
     def test_fraction_thresholds_give_expected_rates(self, rate):
         hits = sum(stable_fraction("rate-test", i) < rate for i in range(2_000))
         assert within_factor(rate * 2_000, max(hits, 1), 1.35)
+
+
+def eager_decisions(
+    service_ip: int,
+    egress: list[int],
+    hijack: Optional[HijackPolicy],
+    rate: float,
+    client_ip: int,
+    name: str,
+) -> tuple[int, bool]:
+    """A resolver's egress and hijack decisions with both hash prefixes
+    computed up front, whether or not the decision reads them."""
+    egress_prefix = _hash_prefix("egress", service_ip)
+    hijack_prefix = _hash_prefix("hijack", service_ip)
+    if len(egress) == 1:
+        chosen = egress[0]
+    else:
+        chosen = egress[zlib.crc32(str(client_ip).encode("utf-8"), egress_prefix) % len(egress)]
+    if hijack is None:
+        hijacks = False
+    elif rate >= 1.0:
+        hijacks = True
+    else:
+        hijacks = zlib.crc32(name.encode("utf-8"), hijack_prefix) % 10_000 < rate * 10_000
+    return chosen, hijacks
+
+
+class TestResolverDecisions:
+    """Resolvers hash a decision's constant prefix only where it is read."""
+
+    @given(
+        service_ip=st.integers(min_value=0, max_value=MAX_IPV4),
+        egress=st.lists(st.integers(min_value=0, max_value=MAX_IPV4), min_size=1, max_size=5),
+        hijacked=st.booleans(),
+        rate=st.floats(min_value=0.0, max_value=1.0),
+        client_ip=st.integers(min_value=0, max_value=MAX_IPV4),
+        name=st.text(max_size=40),
+    )
+    @settings(max_examples=300)
+    def test_decisions_equal_the_eager_reference(
+        self, service_ip, egress, hijacked, rate, client_ip, name
+    ):
+        policy = HijackPolicy("Op", "search.op.example", 1) if hijacked else None
+        resolver = RecursiveResolver(
+            service_ip, DnsRoot(), SimClock(),
+            hijack=policy, hijack_rate=rate, egress_ips=egress,
+        )
+        assert (resolver.egress_for(client_ip), resolver._should_hijack(name)) == (
+            eager_decisions(service_ip, egress, policy, rate, client_ip, name)
+        )
 
 
 class TestSessionProperties:

@@ -9,9 +9,12 @@ the shards executed fresh, came from cache, or survived a crash.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+import repro.engine.study as engine_study
+import repro.serve.service as service_module
 from repro.engine import StudySpec, run_study
 from repro.obs import parse_prometheus_text
 from repro.serve import (
@@ -213,6 +216,115 @@ class TestCrashResume:
         (done,) = resumed.run()
         assert done.cached_shards == 2
         assert resumed.cache_hit_rate == 1.0
+
+
+@pytest.fixture
+def plannings(monkeypatch):
+    """The study seed of every plan computation, counted through
+    ``repro.engine.study.compute_plans`` — the name perfbench's ``plan``
+    span wraps, so a service planning any other way would go uncounted."""
+    seeds: list[int] = []
+    original = engine_study.compute_plans
+
+    def counted(world, spec):
+        seeds.append(spec.seed)
+        return original(world, spec)
+
+    monkeypatch.setattr(engine_study, "compute_plans", counted)
+    return seeds
+
+
+def recrawl_wave(service: Service) -> list[dict]:
+    """Two tenants, three daily re-crawls each; the full ledger."""
+    for tenant, study_seed in (("acme", 9), ("umich", 10)):
+        service.schedule(
+            tenant, "daily", serve_spec(shards=2, study_seed=study_seed),
+            Recurrence(interval=DAY, count=3),
+        )
+    return [study.to_dict() for study in service.run(until=10 * DAY)]
+
+
+class TestPlanMemo:
+    """Re-crawls reuse the plans their first crawl computed."""
+
+    def test_each_plan_is_computed_once_through_the_engine(self, plannings):
+        ledger = recrawl_wave(Service(seed=3))
+        assert len(ledger) == 6
+        assert sorted(plannings) == [9, 10]
+
+    def test_memo_is_unobservable_in_the_ledger(self, plannings):
+        class Unmemoized(Service):
+            MAX_PLANS = 0
+
+        unmemoized = recrawl_wave(Unmemoized(seed=3))
+        assert len(plannings) == 6
+        assert recrawl_wave(Service(seed=3)) == unmemoized
+        assert len(plannings) == 8
+
+    def test_memo_keeps_its_own_copy(self):
+        service = Service(seed=3, keep_runs=True)
+        runs = []
+        for name in ("first", "second", "third"):
+            submission = service.submit("acme", name, serve_spec(shards=2))
+            service.run()
+            runs.append(service.runs[submission.sid])
+        expected = dict(runs[0].plans)
+        # The first run filled the memo and the second was served from it;
+        # mutating either run's plans must not reach the third.
+        runs[0].plans.clear()
+        assert runs[1].plans == expected
+        runs[1].plans.clear()
+        submission = service.submit("acme", "fourth", serve_spec(shards=2))
+        service.run()
+        assert service.runs[submission.sid].plans == expected
+
+    def test_least_recently_used_plans_are_evicted(self, plannings):
+        class TwoPlans(Service):
+            MAX_PLANS = 2
+
+        service = TwoPlans(seed=3)
+        for study_seed in (1, 2, 1, 3, 1, 2):
+            spec = serve_spec(shards=1, study_seed=study_seed)
+            service.submit("acme", f"seed-{study_seed}", spec)
+            service.run()
+        # 1 and 2 fill the memo; 1 hits and becomes the most recent; 3
+        # evicts 2; 1 hits again; 2 misses.
+        assert plannings == [1, 2, 3, 2]
+
+
+class TestCoordinatorEviction:
+    def test_evicted_coordinator_drops_its_plans_and_reserves_the_same(
+        self, monkeypatch, plannings
+    ):
+        builds: list[int] = []
+        original = service_module.build_world
+
+        def counted(config, countries):
+            builds.append(config.seed)
+            return original(config, countries)
+
+        monkeypatch.setattr(service_module, "build_world", counted)
+        configs = [replace(SERVE_CONFIG, seed=11 + i) for i in range(Service.MAX_WORLDS + 1)]
+        service = Service(seed=3)
+        for config in configs:
+            service.submit("acme", f"world-{config.seed}", serve_spec(shards=2, config=config))
+        first_serving = service.run()
+        assert builds == [config.seed for config in configs]
+        assert len(plannings) == len(configs)
+
+        # The fifth world evicted the first coordinator, and with it the
+        # first world's plans: re-serving it rebuilds and replans, and the
+        # shard cache still serves every shard.
+        service.submit("acme", "world-11", serve_spec(shards=2, config=configs[0]))
+        (again,) = service.run()
+        assert builds[len(configs):] == [11]
+        assert len(plannings) == len(configs) + 1
+        first = first_serving[0]
+        assert (again.tenant, again.name, again.occurrence) == (
+            first.tenant, first.name, first.occurrence
+        )
+        assert (again.digest, again.summary_sha) == (first.digest, first.summary_sha)
+        assert again.cached_shards == again.shard_count == 2
 
 
 class TestSchedulingAndMetrics:

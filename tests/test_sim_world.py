@@ -9,6 +9,7 @@ from repro.net.geo import CountryRegistry
 from repro.sim import WorldConfig, build_world
 from repro.sim.config import SCALE_ENV_VAR
 from repro.sim.profiles import NAMED_COUNTRIES, tail_hijack_ratio, tail_population
+from repro.web.content import ContentCorpus, ObjectKind
 from tests.conftest import tiny_country_specs
 
 
@@ -164,6 +165,26 @@ class TestWorldStructure:
         config = WorldConfig(seed=7)
         first = pickle.dumps(build_world(config, tiny_country_specs()))
         assert pickle.dumps(build_world(config, tiny_country_specs())) == first
+
+    def test_replay_with_the_coordinators_corpus_pickles_equal(self):
+        # A shard replay serves its coordinator's content corpus instead of
+        # regenerating it; it must be the same world either way.
+        config = WorldConfig(seed=7)
+        coordinator = build_world(config, tiny_country_specs())
+        replay = build_world(config, tiny_country_specs(), coordinator.corpus)
+        assert replay.corpus is coordinator.corpus
+        assert pickle.dumps(replay) == pickle.dumps(build_world(config, tiny_country_specs()))
+
+    def test_corpus_from_another_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="'tft-8'"):
+            build_world(
+                WorldConfig(seed=7), tiny_country_specs(), ContentCorpus.build(seed="tft-8")
+            )
+
+    def test_corpus_at_other_sizes_is_rejected(self):
+        corpus = ContentCorpus.build(sizes={ObjectKind.CSS: 2048}, seed="tft-7")
+        with pytest.raises(ValueError, match="paper's sizes"):
+            build_world(WorldConfig(seed=7), tiny_country_specs(), corpus)
 
     def test_seed_changes_world(self):
         a = build_world(WorldConfig(scale=0.005, seed=3, include_rare_tail=False))
