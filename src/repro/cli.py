@@ -513,21 +513,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import TraceLog, render_summary, write_trace
+    # A malformed line ends the command with one stderr line and exit 1; an
+    # --out export is renamed into place only once it is complete.
+    from repro.obs import read_trace, render_summary, summarize, write_trace
 
-    with open(args.trace_file, encoding="utf-8") as handle:
-        trace = TraceLog.from_jsonl(handle)
-    if args.trace_command == "summarize":
-        print(render_summary(trace.summarize()))
-        return 0
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            write_trace(trace, args.format, handle)
-        print(f"{args.format} export written to {out}")
-    else:
-        write_trace(trace, args.format, sys.stdout)
+    try:
+        with open(args.trace_file, encoding="utf-8") as handle:
+            rows = read_trace(handle)
+            if args.trace_command == "summarize":
+                print(render_summary(summarize(rows)))
+            elif not args.out:
+                write_trace(rows, args.format, sys.stdout)
+            else:
+                out = pathlib.Path(args.out)
+                out.parent.mkdir(parents=True, exist_ok=True)
+                partial = out.with_name(out.name + ".partial")
+                try:
+                    with partial.open("w", encoding="utf-8") as sink:
+                        write_trace(rows, args.format, sink)
+                    partial.replace(out)
+                finally:
+                    partial.unlink(missing_ok=True)
+                print(f"{args.format} export written to {out}")
+    except ValueError as exc:
+        print(f"trace: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

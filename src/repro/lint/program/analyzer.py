@@ -38,7 +38,7 @@ from repro.lint.program.taint import analyze_flows
 #: rule whose findings or messages change under its old id needs a bump.
 #: Version 3: the import-ban rows (STER001, FLT001, OBS001, SRV001, WLD001)
 #: match more imports and calls and word their messages anew.
-ANALYZER_VERSION = "3"
+ANALYZER_VERSION = "4"
 
 
 @dataclass(slots=True)

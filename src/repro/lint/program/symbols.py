@@ -447,6 +447,9 @@ class _ModuleContext:
             return f"{target}.{rest}" if rest else target
         if not rest and written in self.local_functions:
             return self.local_functions[written]
+        if not rest and written in self.class_methods:
+            # The call graph maps a class to its ``__init__``.
+            return f"{self.module}.{written}"
         if rest and head in self.class_methods:
             methods = self.class_methods[head]
             if "." not in rest and rest in methods:
@@ -807,12 +810,16 @@ class _FunctionWalker:
     # -- set / rng type tracking ---------------------------------------------
 
     def _type_of_expr(self, node: ast.expr) -> str | None:
+        """A value's type tag, or for an instance of a class defined in
+        this module, the class's name."""
         if isinstance(node, (ast.Set, ast.SetComp)):
             return _TYPE_SET
         if isinstance(node, ast.Call):
             name = _dotted(node.func)
             if name in ("set", "frozenset"):
                 return _TYPE_SET
+            if name in self.ctx.class_methods:
+                return name
             resolved = self.ctx.resolve(name, self.class_name) if name else None
             if name == "random.Random" or resolved == "random.Random" or (
                 name == "Random" and self.ctx.imports.get("Random") == "random.Random"
@@ -852,7 +859,13 @@ class _FunctionWalker:
             receiver = self.taint_of(node.func)
             return Taint.merge([receiver] + all_parts)
 
-        resolved = self.ctx.resolve(written, self.class_name)
+        head, _, method = written.partition(".")
+        instance_of = self.types.get(head) if method else None
+        if instance_of in self.ctx.class_methods:
+            # ``builder.build()`` on a local ``builder = _Builder(...)``.
+            resolved = self.ctx.resolve(f"{instance_of}.{method}")
+        else:
+            resolved = self.ctx.resolve(written, self.class_name)
         short = written.split(".")[-1]
 
         # -- source detection ------------------------------------------------

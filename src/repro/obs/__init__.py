@@ -19,19 +19,11 @@ from repro.obs.events import (
     Event,
     freeze_attrs,
 )
-from repro.obs.exporters import (
-    chrome_trace,
-    chrome_trace_json,
-    export_trace,
-    parse_prometheus_text,
-    registry_from_trace,
-    render_summary,
-    write_trace,
-)
+from repro.obs.exporters import parse_prometheus_text, render_summary, write_trace
 from repro.obs.metrics import DEFAULT_BUCKETS, SERVICE_BUCKETS, MetricsRegistry
 from repro.obs.profiling import ProfilingChannel
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
-from repro.obs.trace import TraceLog, encode_line, fold_rows
+from repro.obs.trace import TraceLog, encode_line, fold_rows, read_trace, summarize
 
 #: Observability levels accepted by the engine's ``StudySpec.obs``.
 OBS_OFF = "off"
@@ -57,14 +49,12 @@ __all__ = [
     "SERVICE_BUCKETS",
     "TraceLog",
     "TraceRecorder",
-    "chrome_trace",
-    "chrome_trace_json",
     "encode_line",
-    "export_trace",
     "fold_rows",
     "freeze_attrs",
     "parse_prometheus_text",
-    "registry_from_trace",
+    "read_trace",
     "render_summary",
+    "summarize",
     "write_trace",
 ]

@@ -1,21 +1,25 @@
 """Trace exporters: Chrome trace-event JSON (Perfetto-loadable) and friends.
 
-The JSONL event log and the metrics snapshot/Prometheus expositions live on
-:class:`~repro.obs.trace.TraceLog` and
-:class:`~repro.obs.metrics.MetricsRegistry`; this module holds the format
-translations.  Every exporter is a pure function of the deterministic trace,
-so exported artifacts inherit the byte-identity guarantee.
+:func:`write_trace` writes a :func:`~repro.obs.trace.read_trace` row stream
+in each supported format, in one pass; the metrics snapshot and Prometheus
+expositions come from :class:`~repro.obs.metrics.MetricsRegistry`.  Every
+exporter is a pure function of the deterministic trace, so exported
+artifacts inherit the byte-identity guarantee.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from typing import Iterator, Mapping, TextIO
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, TextIO
 
-from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT
+from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT, ROW_FIELDS
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceLog, fold_rows
+from repro.obs.trace import _batches, _encode_chunk, fold_rows
+
+#: The row fields after ``kind``, which become ``args`` when not default.
+_ARGS = ("span", "parent", "actor", "target", "detail")
 
 #: Chrome trace-event phase codes by event kind.
 _PHASES = {KIND_BEGIN: "B", KIND_END: "E", KIND_INSTANT: "i"}
@@ -30,89 +34,63 @@ _CHROME_FIELDS = {
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def chrome_trace(trace: TraceLog) -> dict:
-    """The Chrome trace-event form: load in ``chrome://tracing`` / Perfetto.
+def _chrome_events(rows: Iterable[tuple[int, int, tuple]]) -> Iterator[dict]:
+    """Each event of a row stream in Chrome trace-event form, in trace order.
 
     Simulated seconds become microsecond timestamps; each shard maps to a
     ``pid`` so per-shard span nesting renders as one track per shard.
     """
-    return {**_CHROME_FIELDS, "traceEvents": list(_chrome_events(trace))}
-
-
-def _chrome_events(trace: TraceLog) -> Iterator[dict]:
-    """Each event of :func:`chrome_trace`, in trace order."""
-    for line in trace.lines():
-        kind = line.get("kind", KIND_INSTANT)
+    for shard, seq, row in rows:
+        ts, name, kind = row[:3]
         record: dict = {
-            "name": line["name"],
+            "name": name,
             "ph": _PHASES.get(kind, "i"),
-            "ts": round(float(line["ts"]) * 1e6, 3),
-            "pid": line.get("shard", 0),
+            "ts": round(float(ts) * 1e6, 3),
+            "pid": shard,
             "tid": 0,
         }
         if kind == KIND_INSTANT:
             record["s"] = "t"
-        args = {
-            key: line[key]
-            for key in ("actor", "target", "detail", "seq", "span", "parent")
-            if key in line
-        }
-        args.update(line.get("attrs", {}))
-        if args:
-            record["args"] = args
+        args: dict = {"seq": seq}
+        args.update((key, value) for key, value in zip(_ARGS, row[3:ROW_FIELDS]) if value)
+        args.update(zip(row[ROW_FIELDS::2], row[ROW_FIELDS + 1 :: 2]))
+        record["args"] = args
         yield record
 
 
-def chrome_trace_json(trace: TraceLog) -> str:
-    """Canonical JSON of :func:`chrome_trace`."""
-    return export_trace(trace, "chrome")
+def write_trace(rows: Iterable[tuple[int, int, tuple]], format: str, out: TextIO) -> None:
+    """Write a :func:`~repro.obs.trace.read_trace` row stream to a text
+    stream in one pass, in one of four formats.
 
-
-def registry_from_trace(trace: TraceLog) -> MetricsRegistry:
-    """Re-derive the ``obs_*`` metrics from an exported trace file.
-
-    Shards are processed in index order through :func:`fold_rows`, the
-    same pass that built the live per-shard registries, so span pairing
-    happens within each shard's stream.
-    """
-    registry = MetricsRegistry()
-    for _index, rows in trace.shard_rows():
-        fold_rows(rows, registry)
-    return registry
-
-
-def write_trace(trace: TraceLog, format: str, out: TextIO) -> None:
-    """Write a trace in one of the supported formats to a text stream.
-
-    ``jsonl`` — the canonical event log (digest-bearing bytes);
-    ``chrome`` — Chrome trace-event JSON, the bytes of
-    ``json.dumps(chrome_trace(trace), sort_keys=True, separators=(",",
-    ":"))`` and a newline, written an event at a time (``traceEvents``
-    sorts last, so the other keys go first);
+    ``jsonl`` — the canonical event log (digest-bearing bytes), a batch of
+    rows at a time;
+    ``chrome`` — Chrome trace-event JSON in canonical form and a newline,
+    an event at a time (``traceEvents`` sorts last, so the other keys go
+    first);
     ``prom`` — Prometheus text exposition of the trace-derived metrics;
-    ``snapshot`` — canonical JSON metrics snapshot of the same.
+    ``snapshot`` — canonical JSON metrics snapshot of the same.  Each
+    shard's rows stream through :func:`~repro.obs.trace.fold_rows`, the
+    pass that built the live per-shard registries.
     """
     if format == "jsonl":
-        trace.write_jsonl(out)
+        for shard, first, batch in _batches(rows):
+            out.write(_encode_chunk(batch, shard, first))
     elif format == "chrome":
         encode = _CANONICAL.encode
         out.write(encode(_CHROME_FIELDS)[:-1] + ',"traceEvents":[')
-        for index, record in enumerate(_chrome_events(trace)):
+        for index, record in enumerate(_chrome_events(rows)):
             out.write(("," if index else "") + encode(record))
         out.write("]}\n")
-    elif format == "prom":
-        out.write(registry_from_trace(trace).prometheus_text())
-    elif format == "snapshot":
-        out.write(registry_from_trace(trace).snapshot_json() + "\n")
+    elif format in ("prom", "snapshot"):
+        registry = MetricsRegistry()
+        for _shard, run in groupby(rows, itemgetter(0)):
+            fold_rows(map(itemgetter(2), run), registry)
+        if format == "prom":
+            out.write(registry.prometheus_text())
+        else:
+            out.write(registry.snapshot_json() + "\n")
     else:
         raise ValueError(f"unknown trace export format: {format!r}")
-
-
-def export_trace(trace: TraceLog, format: str) -> str:
-    """:func:`write_trace`'s text as one string."""
-    out = io.StringIO()
-    write_trace(trace, format, out)
-    return out.getvalue()
 
 
 def parse_prometheus_text(text: str) -> dict[str, dict]:
@@ -179,7 +157,7 @@ def _split_sample(line: str, lineno: int) -> tuple[str, str, str]:
 
 
 def render_summary(summary: Mapping) -> str:
-    """Human-readable form of :meth:`TraceLog.summarize`."""
+    """Human-readable form of :func:`~repro.obs.trace.summarize`."""
     lines = [
         f"events: {summary['events']} across {summary['shards']} shard(s), "
         f"{summary['spans']} spans",

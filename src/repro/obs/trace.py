@@ -13,16 +13,19 @@ the run's trace identity, recorded in the run metrics.
 Each line is exactly ``json.dumps({"shard": i, **fields}, sort_keys=True,
 separators=(",", ":"))`` of the event's non-default fields; the encoder
 writes those bytes directly, without building a dict per event.
+:func:`read_trace` is the one parser of those lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from operator import countOf, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 from repro.obs.events import KIND_BEGIN, KIND_END, KIND_INSTANT, ROW_FIELDS, freeze_attrs
 from repro.obs.metrics import MetricsRegistry
@@ -32,6 +35,14 @@ from repro.records import slot_init
 #: writer; below glibc's default 128 KiB threshold for serving an
 #: allocation with its own memory mapping.
 _SLICE = 1 << 16
+
+#: Rows of one shard encoded at a time when a row stream is written back
+#: or digested; their text, about 90 KB, stays below the same threshold.
+_BATCH = 1 << 9
+
+#: Parses the JSON value a string starts with; ``json.loads`` would scan
+#: each stripped line for whitespace twice more.
+_decode = json.JSONDecoder().raw_decode
 
 #: ``float.__repr__`` of non-finite values, and their JSON spellings.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -130,7 +141,7 @@ def row_from_record(record: Mapping) -> tuple:
 
 
 def fold_rows(
-    rows: Sequence[tuple], registry: MetricsRegistry, shard: Optional[int] = None
+    rows: Iterable[tuple], registry: MetricsRegistry, shard: Optional[int] = None
 ) -> Optional[str]:
     """Fold a shard's rows: derive its metrics, encode its chunk.
 
@@ -177,25 +188,99 @@ def fold_rows(
     return None if shard is None else _encode_chunk(rows, shard)
 
 
-def _checked_rows(
-    run: Iterable[tuple[int, dict]], shard: int, start: int
-) -> Iterator[tuple]:
-    """The rows of one shard's ``(line number, record)`` run, whose ``seq``
-    numbers must count up from ``start``."""
-    for seq, (lineno, record) in enumerate(run, start):
-        if int(record["seq"]) != seq:
-            raise ValueError(
-                f"line {lineno}: shard {shard} event has seq {record['seq']}, expected {seq}"
-            )
-        yield row_from_record(record)
-
-
 def _attr(row: tuple, key: str) -> Optional[str]:
     """The value of one attribute of a row, or ``None``."""
     for index in range(ROW_FIELDS, len(row), 2):
         if row[index] == key:
             return row[index + 1]
     return None
+
+
+def read_trace(lines: Iterable[str]) -> Iterator[tuple[int, int, tuple]]:
+    """Each event of a JSONL trace as ``(shard, seq, row)``, in file order.
+
+    ``lines`` is any iterable of lines, such as an open file; blank ones
+    are skipped.  The trace must have the shape :meth:`TraceLog.write_jsonl`
+    writes: each shard's events are one run of lines, in ascending shard
+    order, whose ``seq`` numbers count up from 0.  A line that is not a
+    JSON object, an event without ``name``, ``seq`` or ``ts``, a ``seq``
+    gap and a shard out of order each raise :class:`ValueError` naming the
+    line.
+    """
+    shard: Optional[int] = None
+    expected = 0
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            record, end = _decode(text)
+        except json.JSONDecodeError:
+            record, end = None, 0
+        if end != len(text) or not isinstance(record, dict):
+            raise ValueError(f"line {lineno}: not a JSON object")
+        try:
+            index = int(record.get("shard", 0))
+            seq = int(record["seq"])
+            row = row_from_record(record)
+        except KeyError as missing:
+            raise ValueError(f"line {lineno}: event has no {missing} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if index != shard:
+            if shard is not None and index < shard:
+                raise ValueError(f"line {lineno}: shard {index} follows shard {shard}")
+            shard, expected = index, 0
+        if seq != expected:
+            raise ValueError(f"line {lineno}: shard {index} event has seq {seq}, expected {expected}")
+        expected += 1
+        yield index, seq, row
+
+
+def _batches(rows: Iterable[tuple[int, int, tuple]]) -> Iterator[tuple[int, int, list[tuple]]]:
+    """A :func:`read_trace` stream as ``(shard, first seq, rows)`` batches of
+    at most :data:`_BATCH` consecutive rows of one shard."""
+    for shard, run in groupby(rows, itemgetter(0)):
+        while batch := list(islice(run, _BATCH)):
+            yield shard, batch[0][1], list(map(itemgetter(2), batch))
+
+
+def summarize(rows: Iterable[tuple[int, int, tuple]]) -> dict:
+    """Aggregate view of a :func:`read_trace` stream, in one pass: counts
+    of events, shards with events, spans, events by name and faults by
+    kind, the simulated time span, and the SHA-256 of the rows' canonical
+    JSONL, which is :meth:`TraceLog.digest` of the trace they came from."""
+    names: Counter[str] = Counter()
+    faults: Counter[str] = Counter()
+    events = spans = 0
+    shards: set[int] = set()
+    first_ts: Optional[float] = None
+    last_ts: Optional[float] = None
+    digest = hashlib.sha256()
+    for shard, first, batch in _batches(rows):
+        digest.update(_encode_chunk(batch, shard, first).encode("utf-8"))
+        shards.add(shard)
+        events += len(batch)
+        names.update(map(itemgetter(1), batch))
+        spans += countOf(map(itemgetter(2), batch), KIND_BEGIN)
+        for row in batch:
+            if row[1] == "fault.injected":
+                fault = _attr(row, "kind")
+                faults["unknown" if fault is None else fault] += 1
+        # min and max fold left to right, as a running min(first_ts, ts) does.
+        stamps = [float(row[0]) for row in batch]
+        first_ts = min(stamps) if first_ts is None else min(first_ts, *stamps)
+        last_ts = max(stamps) if last_ts is None else max(last_ts, *stamps)
+    return {
+        "events": events,
+        "shards": len(shards),
+        "spans": spans,
+        "names": {name: names[name] for name in sorted(names)},
+        "faults": {kind: faults[kind] for kind in sorted(faults)},
+        "sim_first_ts": first_ts,
+        "sim_last_ts": last_ts,
+        "digest": digest.hexdigest(),
+    }
 
 
 @slot_init
@@ -210,16 +295,9 @@ class TraceLog:
         """Assemble from per-shard canonical chunks keyed by shard index."""
         return cls(shards=tuple((index, payloads[index]) for index in sorted(payloads)))
 
-    def lines(self) -> Iterator[dict]:
-        """Every event as a dict tagged with its shard, in deterministic order."""
-        for _index, chunk in self.shards:
-            for line in chunk.splitlines():
-                yield json.loads(line)
-
-    def shard_rows(self) -> Iterator[tuple[int, list[tuple]]]:
-        """Each shard's index and its rows parsed back, in ``seq`` order."""
-        for index, chunk in self.shards:
-            yield index, [row_from_record(json.loads(line)) for line in chunk.splitlines()]
+    def rows(self) -> Iterator[tuple[int, int, tuple]]:
+        """Every event as :func:`read_trace` yields it from :meth:`to_jsonl`."""
+        return read_trace(line for _index, chunk in self.shards for line in chunk.splitlines())
 
     def __len__(self) -> int:
         return sum(chunk.count("\n") for _index, chunk in self.shards)
@@ -250,61 +328,3 @@ class TraceLog:
         for piece in self._slices():
             digest.update(piece.encode("utf-8"))
         return digest.hexdigest()
-
-    @classmethod
-    def from_jsonl(cls, source: Union[str, Iterable[str]]) -> "TraceLog":
-        """Parse a trace written by :meth:`write_jsonl` (shard tags regroup it).
-
-        ``source`` is the JSONL text or any iterable of its lines, such as
-        an open file, which is then read a line at a time.  Lines are
-        re-encoded canonically; within each shard they must carry
-        consecutive ``seq`` numbers from 0, as every recorded trace does.
-        """
-        chunks: dict[int, list[str]] = {}
-        encoded: dict[int, int] = {}
-        lines = source.splitlines() if isinstance(source, str) else source
-        records = (
-            (lineno, json.loads(line))
-            for lineno, line in enumerate(lines, start=1)
-            if line.strip()
-        )
-        # Each run of consecutive lines from one shard is encoded as one
-        # batch, streamed from the parser; a canonical trace is one run per
-        # shard.
-        for shard, run in groupby(records, key=lambda item: int(item[1].get("shard", 0))):
-            start = encoded.get(shard, 0)
-            chunk = _encode_chunk(_checked_rows(run, shard, start), shard, start)
-            encoded[shard] = start + chunk.count("\n")
-            chunks.setdefault(shard, []).append(chunk)
-        return cls.from_shard_payloads(
-            {shard: "".join(parts) for shard, parts in chunks.items()}
-        )
-
-    def summarize(self) -> dict:
-        """Aggregate view: counts by name, span/fault totals, sim time span."""
-        names: dict[str, int] = {}
-        faults: dict[str, int] = {}
-        spans = 0
-        first_ts: float | None = None
-        last_ts: float | None = None
-        for line in self.lines():
-            names[line["name"]] = names.get(line["name"], 0) + 1
-            kind = line.get("kind", KIND_INSTANT)
-            if kind == KIND_BEGIN:
-                spans += 1
-            if line["name"] == "fault.injected":
-                fault_kind = line.get("attrs", {}).get("kind", "unknown")
-                faults[fault_kind] = faults.get(fault_kind, 0) + 1
-            ts = float(line["ts"])
-            first_ts = ts if first_ts is None else min(first_ts, ts)
-            last_ts = ts if last_ts is None else max(last_ts, ts)
-        return {
-            "events": len(self),
-            "shards": len(self.shards),
-            "spans": spans,
-            "names": {name: names[name] for name in sorted(names)},
-            "faults": {kind: faults[kind] for kind in sorted(faults)},
-            "sim_first_ts": first_ts,
-            "sim_last_ts": last_ts,
-            "digest": self.digest(),
-        }

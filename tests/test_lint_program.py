@@ -98,6 +98,16 @@ class TestRaceRules:
         result = _analyze("race_neg")
         assert not {"RACE001", "RACE002"} & _rules(result)
 
+    def test_caches_behind_a_same_module_class_are_race002(self):
+        # The worker builds a class defined in its own module and calls a
+        # method on the local holding the instance; each path reaches a cache.
+        result = _analyze("race_class")
+        race2 = {f.symbol: [step.note for step in f.trace] for f in result.findings
+                 if f.rule == "RACE002"}
+        assert sorted(race2) == ["corpus", "layout"]
+        assert "called from __init__()" in race2["corpus"]
+        assert "called from build()" in race2["layout"]
+
     def test_shared_column_array_mutation_is_race001(self):
         # The columnar world's array-backed columns are shared with worker
         # processes; mutating one from a worker-reachable function must be

@@ -6,12 +6,15 @@ canonical JSONL.  Both are checked here against the straightforward forms
 they replace: ``json.dumps`` of each event's compact dict (the
 digest-bearing bytes), and the per-event metrics loop, copied below as
 the reference.  ``TestChunkMemos`` draws chunks whose values repeat, so
-the encoder's per-chunk memos are hit.
+the encoder's per-chunk memos are hit.  ``TestReader`` reads multi-shard
+traces back through :func:`repro.obs.read_trace` and checks the one-pass
+:func:`repro.obs.summarize` against the per-line dict loop it replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import sys
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.runner as runner
+import repro.obs.trace as trace_module
 from repro.engine.experiments import EXPERIMENT_ORDER
 from repro.engine.runner import ShardTask, run_shard, shard_registry
 from repro.engine.sharding import make_shard_specs, partition_plans
@@ -36,6 +40,9 @@ from repro.obs import (
     encode_line,
     fold_rows,
     freeze_attrs,
+    read_trace,
+    summarize,
+    write_trace,
 )
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
@@ -188,21 +195,7 @@ class TestChunkMemos:
             f'{{"name":"x","seq":{seq},"shard":0,"ts":{stamp}}}\n'
             for seq, stamp in enumerate(stamps)
         )
-        assert TraceLog.from_jsonl(text).to_jsonl() == text
-
-    def test_interleaved_shards_regroup(self):
-        # Each run of one shard's lines is encoded as its own batch, whose
-        # seq numbers continue from the shard's earlier runs.
-        chunks = {
-            shard: reference_chunk(
-                [(seq + 0.5, "x", KIND_INSTANT, 0, 0, "zid-7", "", "") for seq in range(4)],
-                shard,
-            ).splitlines(keepends=True)
-            for shard in (0, 1)
-        }
-        text = "".join(chunks[0][:1] + chunks[1][:3] + chunks[0][1:] + chunks[1][3:])
-        reparsed = TraceLog.from_jsonl(text)
-        assert reparsed.shards == ((0, "".join(chunks[0])), (1, "".join(chunks[1])))
+        assert jsonl_of(read_trace(text.splitlines())) == text
 
     def test_memos_last_one_chunk(self):
         # Values built at run time, so that only this test holds them; a
@@ -216,6 +209,94 @@ class TestChunkMemos:
         held = [sys.getrefcount(item) for item in (actor, detail, target, key, value, ts)]
         assert fold_rows(rows, MetricsRegistry(), 0) == reference_chunk(rows, 0)
         assert [sys.getrefcount(item) for item in (actor, detail, target, key, value, ts)] == held
+
+
+def jsonl_of(rows) -> str:
+    """The JSONL export of a row stream, as one string."""
+    out = io.StringIO()
+    write_trace(rows, "jsonl", out)
+    return out.getvalue()
+
+
+def reference_summary(text: str) -> dict:
+    """The summary of a JSONL trace as the per-line dict loop computed it
+    before rows were read once: the reference for :func:`summarize`."""
+    lines = [json.loads(line) for line in text.splitlines()]
+    names: dict[str, int] = {}
+    faults: dict[str, int] = {}
+    spans = 0
+    first_ts: float | None = None
+    last_ts: float | None = None
+    for line in lines:
+        names[line["name"]] = names.get(line["name"], 0) + 1
+        kind = line.get("kind", KIND_INSTANT)
+        if kind == KIND_BEGIN:
+            spans += 1
+        if line["name"] == "fault.injected":
+            fault_kind = line.get("attrs", {}).get("kind", "unknown")
+            faults[fault_kind] = faults.get(fault_kind, 0) + 1
+        ts = float(line["ts"])
+        first_ts = ts if first_ts is None else min(first_ts, ts)
+        last_ts = ts if last_ts is None else max(last_ts, ts)
+    return {
+        "events": len(lines),
+        "shards": len({line.get("shard", 0) for line in lines}),
+        "spans": spans,
+        "names": {name: names[name] for name in sorted(names)},
+        "faults": {kind: faults[kind] for kind in sorted(faults)},
+        "sim_first_ts": first_ts,
+        "sim_last_ts": last_ts,
+        "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }
+
+
+#: Names the summary counts apart: a fault, and a span's two ends.
+_NAMES = st.one_of(st.sampled_from(["fault.injected", "dns.resolve"]), _TEXT)
+
+
+@st.composite
+def _traces(draw):
+    """A trace of up to four shards, some without events, whose rows come
+    from both row strategies and are often faults."""
+    indexes = draw(st.lists(st.integers(0, 6), unique=True, max_size=4))
+    payloads = {}
+    for index in indexes:
+        rows = draw(st.lists(st.one_of(_rows(), _pool_rows()), max_size=8))
+        rows = [row[:1] + (draw(_NAMES),) + row[2:] for row in rows]
+        payloads[index] = fold_rows(rows, MetricsRegistry(), index)
+    return TraceLog.from_shard_payloads(payloads)
+
+
+class TestReader:
+    """:func:`read_trace` and the consumers of its row stream."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(trace=_traces(), batch=st.sampled_from([1, 2, 3, 4096]))
+    def test_one_pass_consumers_match_the_references(self, trace, batch):
+        # Small batches split shards, so a batch's first seq is not 0.
+        text = trace.to_jsonl()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_module, "_BATCH", batch)
+            assert jsonl_of(read_trace(text.splitlines(keepends=True))) == text
+            summary = summarize(read_trace(io.StringIO(text)))
+            assert json.dumps(summarize(trace.rows())) == json.dumps(summary)
+        assert summary["digest"] == trace.digest()
+        # Through JSON, so that NaN stamps compare equal.
+        assert json.dumps(summary) == json.dumps(reference_summary(text))
+
+    def test_interleaved_shards_are_rejected(self):
+        # `write_jsonl` writes each shard's events as one run, so a shard
+        # that comes back after another is a damaged or spliced file.
+        chunks = {
+            shard: reference_chunk(
+                [(seq + 0.5, "x", KIND_INSTANT, 0, 0, "zid-7", "", "") for seq in range(4)],
+                shard,
+            ).splitlines(keepends=True)
+            for shard in (0, 1)
+        }
+        text = "".join(chunks[0][:1] + chunks[1][:3] + chunks[0][1:] + chunks[1][3:])
+        with pytest.raises(ValueError, match="^line 5: shard 0 follows shard 1"):
+            list(read_trace(text.splitlines()))
 
 
 class TestTraceDigest:

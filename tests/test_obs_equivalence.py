@@ -8,6 +8,7 @@ tracing on must not perturb the science (datasets, run digest, report).
 import pytest
 
 from repro.engine import StudySpec, run_study
+from repro.obs import summarize
 from repro.serve import SHARD_CACHE_DIR, DiskShardCache
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
@@ -67,7 +68,7 @@ def untraced_run(chaos_world):
 class TestWorkerEquivalence:
     def test_trace_is_nonempty_and_sees_faults(self, traced_one_worker):
         run, _ = traced_one_worker
-        summary = run.trace.summarize()
+        summary = summarize(run.trace.rows())
         assert summary["events"] > 0
         assert summary["shards"] == 3
         assert sum(summary["faults"].values()) > 0

@@ -12,6 +12,7 @@ migration — these bytes are what the digest contract is made of.
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 
@@ -23,12 +24,11 @@ from repro.obs import (
     MetricsRegistry,
     TraceLog,
     TraceRecorder,
-    chrome_trace,
-    chrome_trace_json,
-    export_trace,
     fold_rows,
-    registry_from_trace,
+    read_trace,
     render_summary,
+    summarize,
+    write_trace,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures" / "obs"
@@ -58,50 +58,64 @@ def build_fixture_trace() -> TraceLog:
     return TraceLog.from_shard_payloads(payloads)
 
 
+#: Each golden file and the export format it pins.
 GOLDENS = {
-    "trace.jsonl": lambda t: t.to_jsonl(),
-    "trace_chrome.json": chrome_trace_json,
-    "metrics.prom": lambda t: registry_from_trace(t).prometheus_text(),
-    "metrics_snapshot.json": lambda t: registry_from_trace(t).snapshot_json() + "\n",
+    "trace.jsonl": "jsonl",
+    "trace_chrome.json": "chrome",
+    "metrics.prom": "prom",
+    "metrics_snapshot.json": "snapshot",
 }
+
+
+def export(rows, format: str) -> str:
+    """:func:`write_trace`'s text as one string."""
+    out = io.StringIO()
+    write_trace(rows, format, out)
+    return out.getvalue()
 
 
 class TestGoldenFiles:
     def test_exports_match_goldens(self):
+        # From the in-memory trace and from its file, as `repro trace` reads it.
         trace = build_fixture_trace()
-        for name, render in GOLDENS.items():
+        assert trace.to_jsonl() == (FIXTURES / "trace.jsonl").read_text(encoding="utf-8")
+        for name, format in GOLDENS.items():
             golden = (FIXTURES / name).read_text(encoding="utf-8")
-            assert render(trace) == golden, f"{name} drifted from its golden file"
-
-    def test_export_trace_dispatch_matches_goldens(self):
-        trace = build_fixture_trace()
-        for format, name in (
-            ("jsonl", "trace.jsonl"),
-            ("chrome", "trace_chrome.json"),
-            ("prom", "metrics.prom"),
-            ("snapshot", "metrics_snapshot.json"),
-        ):
-            golden = (FIXTURES / name).read_text(encoding="utf-8")
-            assert export_trace(trace, format) == golden
+            assert export(trace.rows(), format) == golden, f"{name} drifted from its golden file"
+            with open(FIXTURES / "trace.jsonl", encoding="utf-8") as handle:
+                assert export(read_trace(handle), format) == golden, f"{name} from the file"
 
     def test_jsonl_roundtrips_through_parser(self):
         trace = build_fixture_trace()
-        reparsed = TraceLog.from_jsonl(trace.to_jsonl())
-        assert reparsed == trace
-        assert reparsed.digest() == trace.digest()
+        lines = trace.to_jsonl().splitlines(keepends=True)
+        assert export(read_trace(lines), "jsonl") == trace.to_jsonl()
+        assert summarize(read_trace(lines))["digest"] == trace.digest()
 
-    def test_parser_rejects_lines_out_of_seq_order(self):
-        # A row's seq is its position in the shard, so a trace with a
-        # dropped or reordered line cannot be re-encoded faithfully.
-        lines = build_fixture_trace().to_jsonl().splitlines(keepends=True)
-        with pytest.raises(ValueError, match="seq"):
-            TraceLog.from_jsonl("".join(lines[:2] + lines[3:]))
+    @pytest.mark.parametrize(
+        "edit, lineno, message",
+        [
+            # A row's seq is its position in the shard, so a trace with a
+            # dropped line cannot be re-encoded faithfully.
+            (lambda lines: lines[:2] + lines[3:], 3, "shard 0 event has seq 3, expected 2"),
+            # Shard 1's first line moved ahead of shard 0's.
+            (lambda lines: lines[8:9] + lines[:8] + lines[9:], 2, "shard 0 follows shard 1"),
+            (lambda lines: lines[:5] + ['{"name":"x",\n'] + lines[5:], 6, "not a JSON object"),
+            (lambda lines: lines[:1] + ["[1, 2]\n"] + lines[1:], 2, "not a JSON object"),
+            (lambda lines: lines[:4] + [lines[4].replace(',"ts":', ',"stamp":')] + lines[5:],
+             5, "event has no 'ts' field"),
+        ],
+        ids=["seq-gap", "shard-backwards", "not-json", "not-an-object", "no-ts"],
+    )
+    def test_parser_rejects_malformed_lines(self, edit, lineno, message):
+        lines = edit(build_fixture_trace().to_jsonl().splitlines(keepends=True))
+        with pytest.raises(ValueError, match=f"^line {lineno}: {message}"):
+            list(read_trace(lines))
 
 
 class TestChromeTrace:
     def test_loads_as_json_with_wellformed_events(self):
         trace = build_fixture_trace()
-        payload = json.loads(chrome_trace_json(trace))
+        payload = json.loads(export(trace.rows(), "chrome"))
         events = payload["traceEvents"]
         assert len(events) == len(trace)
         assert {e["ph"] for e in events} <= {"B", "E", "i"}
@@ -115,7 +129,7 @@ class TestChromeTrace:
         assert answer["args"]["rcode"] == "0"
 
     def test_instants_carry_scope(self):
-        payload = chrome_trace(build_fixture_trace())
+        payload = json.loads(export(build_fixture_trace().rows(), "chrome"))
         for event in payload["traceEvents"]:
             assert (event["ph"] == "i") == ("s" in event)
 
@@ -123,7 +137,7 @@ class TestChromeTrace:
 class TestSummary:
     def test_render_summary_mentions_the_essentials(self):
         trace = build_fixture_trace()
-        text = render_summary(trace.summarize())
+        text = render_summary(summarize(trace.rows()))
         assert "6 spans" in text
         assert "fault.injected" in text
         assert "stall=1" in text
@@ -146,19 +160,34 @@ class TestTraceCli:
         assert main(
             ["trace", "export", str(src), "--format", "chrome", "--out", str(out)]
         ) == 0
-        assert json.loads(out.read_text(encoding="utf-8")) == chrome_trace(trace)
+        assert out.read_text(encoding="utf-8") == export(trace.rows(), "chrome")
 
     def test_export_to_stdout(self, tmp_path, capsys):
         trace = build_fixture_trace()
         src = tmp_path / "trace.jsonl"
         src.write_text(trace.to_jsonl(), encoding="utf-8")
         assert main(["trace", "export", str(src), "--format", "prom"]) == 0
-        assert capsys.readouterr().out == registry_from_trace(trace).prometheus_text()
+        assert capsys.readouterr().out == export(trace.rows(), "prom")
+
+    @pytest.mark.parametrize("command", ["summarize", "export"])
+    def test_malformed_file_fails_in_one_line(self, tmp_path, capsys, command):
+        lines = build_fixture_trace().to_jsonl().splitlines(keepends=True)
+        src = tmp_path / "trace.jsonl"
+        src.write_text("".join(lines[:3] + lines[4:]), encoding="utf-8")
+        argv = ["trace", command, str(src)]
+        if command == "export":
+            argv += ["--format", "prom", "--out", str(tmp_path / "metrics.prom")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "trace: line 4: shard 0 event has seq 4, expected 3\n"
+        # No export, complete or partial, is left behind.
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
 if __name__ == "__main__":
     FIXTURES.mkdir(parents=True, exist_ok=True)
     trace = build_fixture_trace()
-    for name, render in GOLDENS.items():
-        (FIXTURES / name).write_text(render(trace), encoding="utf-8")
+    for name, format in GOLDENS.items():
+        (FIXTURES / name).write_text(export(trace.rows(), format), encoding="utf-8")
         print(f"wrote {FIXTURES / name}")

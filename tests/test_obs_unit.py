@@ -7,6 +7,7 @@ associative and shard-order independent.
 """
 
 import dataclasses
+import io
 import json
 
 import pytest
@@ -27,7 +28,7 @@ from repro.obs import (
     encode_line,
     fold_rows,
     freeze_attrs,
-    registry_from_trace,
+    write_trace,
 )
 from repro.obs.trace import row_from_record
 from repro.tracing import Timeline
@@ -265,8 +266,9 @@ class TestRegistryFromEvents:
             recorder.event("fault.injected", attrs={"kind": "reset"})
         live = MetricsRegistry()
         chunk = fold_rows(recorder.rows, live, 0)
-        reparsed = TraceLog.from_jsonl(TraceLog.from_shard_payloads({0: chunk}).to_jsonl())
-        assert registry_from_trace(reparsed).snapshot_json() == live.snapshot_json()
+        out = io.StringIO()
+        write_trace(TraceLog.from_shard_payloads({0: chunk}).rows(), "snapshot", out)
+        assert out.getvalue() == live.snapshot_json() + "\n"
 
 
 class TestProfilingChannel:
