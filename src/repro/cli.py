@@ -513,8 +513,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    # A malformed line ends the command with one stderr line and exit 1; an
-    # --out export is renamed into place only once it is complete.
+    # A malformed line or an unreadable file ends the command with one
+    # stderr line and exit 1; an --out export is renamed into place only
+    # once it is complete.
     from repro.obs import read_trace, render_summary, summarize, write_trace
 
     try:
@@ -535,7 +536,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 finally:
                     partial.unlink(missing_ok=True)
                 print(f"{args.format} export written to {out}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"trace: {exc}", file=sys.stderr)
         return 1
     return 0

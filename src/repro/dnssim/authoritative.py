@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.net.clock import SimClock
-from repro.dnssim.message import (
-    DnsQuery,
-    DnsResponse,
-    QueryLog,
-    QueryLogEntry,
-    RCode,
-    normalize_name,
-)
+from repro.dnssim.message import DnsQuery, DnsResponse, QueryLog, RCode, normalize_name
 
 SourcePredicate = Callable[[int], bool]
 
@@ -39,7 +32,9 @@ class RecordPolicy:
 
     ``address`` is the A record returned when the policy allows it.  When
     ``allow_source`` is set, queries from non-matching sources get NXDOMAIN —
-    this implements the paper's conditional *d2* answer.
+    this implements the paper's conditional *d2* answer.  A server shares one
+    policy among every name that answers alike, so nothing assigns a field
+    after construction.
     """
 
     address: int
@@ -72,6 +67,9 @@ class AuthoritativeServer:
         self._dotted = "." + self.zone
         self._clock = clock
         self._records: dict[str, RecordPolicy] = {}
+        #: One :meth:`register_a` policy per ``(address, allow_source)``: the
+        #: §4 experiment registers two names per probe, all answering alike.
+        self._policies: dict[tuple[int, Optional[SourcePredicate]], RecordPolicy] = {}
         self._zone_default: Optional[RecordPolicy] = None
         self.log = QueryLog()
 
@@ -93,8 +91,16 @@ class AuthoritativeServer:
         address: int,
         allow_source: Optional[SourcePredicate] = None,
     ) -> None:
-        """Convenience wrapper: install a (possibly conditional) A record."""
-        self.register(qname, RecordPolicy(address=address, allow_source=allow_source))
+        """Convenience wrapper: install a (possibly conditional) A record.
+
+        Names registered with the same ``address`` and ``allow_source`` share
+        one policy (and so one NOERROR answer).
+        """
+        key = (address, allow_source)
+        policy = self._policies.get(key)
+        if policy is None:
+            policy = self._policies[key] = RecordPolicy(address, allow_source)
+        self.register(qname, policy)
 
     def set_zone_default(self, policy: RecordPolicy) -> None:
         """Answer policy applied to any in-zone name without an exact record."""
@@ -104,11 +110,8 @@ class AuthoritativeServer:
         """Answer a query, recording it in the log."""
         name = query.qname  # DnsQuery already normalized it
         if not (name == self.zone or name.endswith(self._dotted)):
-            response = DnsResponse.servfail()
-            self.log.append(
-                _log_entry(self._clock.now, name, query.source_ip, response.rcode)
-            )
-            return response
+            self.log.append(self._clock.now, name, query.source_ip, RCode.SERVFAIL)
+            return DnsResponse.servfail()
         return self.answer(name, query.source_ip)
 
     def answer(self, name: str, source_ip: int) -> DnsResponse:
@@ -124,13 +127,8 @@ class AuthoritativeServer:
             response = DnsResponse.nxdomain()
         else:
             response = policy.answer_for(source_ip)
-        self.log.append(_log_entry(self._clock.now, name, source_ip, response.rcode))
+        self.log.append(self._clock.now, name, source_ip, response.rcode)
         return response
-
-
-def _log_entry(time: float, qname: str, source_ip: int, rcode: RCode):
-    """Build a query-log entry (kept as a function for test monkeypatching)."""
-    return QueryLogEntry(time=time, qname=qname, source_ip=source_ip, rcode=rcode)
 
 
 class DnsRoot:

@@ -9,7 +9,7 @@ in real DNS.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.records import slot_init
 
@@ -107,31 +107,56 @@ class QueryLogEntry:
     rcode: RCode
 
 
-@dataclass(slots=True)
 class QueryLog:
     """Append-only query log kept by the measurement authoritative server.
 
-    A per-name index keeps :meth:`for_name` O(matches): the NXDOMAIN
-    methodology queries the log once per probe, and the log grows to
-    millions of entries over a crawl.
+    The log stores one column per :class:`QueryLogEntry` field, not one
+    object per query: a crawl logs millions of queries, and an object per
+    entry would leave that many live objects for the cyclic collector to
+    walk.  Readers get frozen :class:`QueryLogEntry` records built when read,
+    and no method rewrites or removes a stored field.  A per-name index keeps
+    :meth:`for_name` O(matches): the NXDOMAIN methodology queries the log
+    once per probe.
     """
 
-    entries: list[QueryLogEntry] = field(default_factory=list)
-    _by_name: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ("_time", "_qname", "_source_ip", "_rcode", "_by_name")
 
-    def append(self, entry: QueryLogEntry) -> None:
-        """Record one served query."""
-        self._by_name.setdefault(entry.qname, []).append(len(self.entries))
-        self.entries.append(entry)
+    def __init__(self) -> None:
+        self._time: list[float] = []
+        self._qname: list[str] = []
+        self._source_ip: list[int] = []
+        self._rcode: list[RCode] = []
+        self._by_name: dict[str, list[int]] = {}
+
+    def append(self, time: float, qname: str, source_ip: int, rcode: RCode) -> None:
+        """Record one served query; ``qname`` is indexed as given."""
+        positions = self._by_name.get(qname)
+        if positions is None:
+            self._by_name[qname] = [len(self._time)]
+        else:
+            positions.append(len(self._time))
+        self._time.append(time)
+        self._qname.append(qname)
+        self._source_ip.append(source_ip)
+        self._rcode.append(rcode)
+
+    @property
+    def entries(self) -> list[QueryLogEntry]:
+        """Every logged query, in arrival order."""
+        return list(map(QueryLogEntry, self._time, self._qname, self._source_ip, self._rcode))
 
     def for_name(self, qname: str) -> list[QueryLogEntry]:
         """All log entries whose query name matches ``qname`` exactly."""
-        indexes = self._by_name.get(normalize_name(qname), ())
-        return [self.entries[i] for i in indexes]
+        time, names, sources, rcodes = self._time, self._qname, self._source_ip, self._rcode
+        return [
+            QueryLogEntry(time[i], names[i], sources[i], rcodes[i])
+            for i in self._by_name.get(normalize_name(qname), ())
+        ]
 
     def sources_for_name(self, qname: str) -> list[int]:
         """Source IPs that asked for ``qname``, in arrival order."""
-        return [entry.source_ip for entry in self.for_name(qname)]
+        sources = self._source_ip
+        return [sources[i] for i in self._by_name.get(normalize_name(qname), ())]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._time)

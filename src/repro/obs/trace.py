@@ -127,9 +127,16 @@ def _stamp(ts: float) -> str:
 
 
 def row_from_record(record: Mapping) -> tuple:
-    """The row of one parsed trace line (inverse of :func:`encode_line`)."""
+    """The row of one parsed trace line (inverse of :func:`encode_line`).
+
+    A ``ts`` that is not an ``int`` or ``float`` (a ``bool`` is neither)
+    raises :class:`ValueError`: it could not be encoded back as JSON.
+    """
+    ts = record["ts"]
+    if ts.__class__ not in (int, float):
+        raise ValueError(f"event ts {ts!r} is not a number")
     return (
-        record["ts"],
+        ts,
         str(record["name"]),
         str(record.get("kind", KIND_INSTANT)),
         int(record.get("span", 0)),
@@ -203,9 +210,9 @@ def read_trace(lines: Iterable[str]) -> Iterator[tuple[int, int, tuple]]:
     are skipped.  The trace must have the shape :meth:`TraceLog.write_jsonl`
     writes: each shard's events are one run of lines, in ascending shard
     order, whose ``seq`` numbers count up from 0.  A line that is not a
-    JSON object, an event without ``name``, ``seq`` or ``ts``, a ``seq``
-    gap and a shard out of order each raise :class:`ValueError` naming the
-    line.
+    JSON object, an event without ``name``, ``seq`` or ``ts``, a ``ts``
+    that is not a number, a ``seq`` gap and a shard out of order each raise
+    :class:`ValueError` naming the line.
     """
     shard: Optional[int] = None
     expected = 0

@@ -10,7 +10,7 @@ timestamps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.records import slot_init
@@ -114,31 +114,63 @@ class AccessLogEntry:
     status: int
 
 
-@dataclass(slots=True)
 class AccessLog:
     """Append-only access log with the lookups the analysis pipeline needs.
 
     The content-monitoring detector asks, per unique probe domain: which
     requests arrived, from which IPs, at which times?  A per-host index keeps
-    that query O(matches) even with millions of entries.
+    that query O(matches) even with millions of entries.  As in
+    :class:`~repro.dnssim.message.QueryLog`, each :class:`AccessLogEntry`
+    field is one column, readers get frozen entries built when read, and no
+    method rewrites or removes a stored field.
     """
 
-    entries: list[AccessLogEntry] = field(default_factory=list)
-    _by_host: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ("_time", "_source_ip", "_host", "_path", "_user_agent", "_status", "_by_host")
 
-    def append(self, entry: AccessLogEntry) -> None:
-        """Record one served request."""
-        self._by_host.setdefault(entry.host, []).append(len(self.entries))
-        self.entries.append(entry)
+    def __init__(self) -> None:
+        self._time: list[float] = []
+        self._source_ip: list[int] = []
+        self._host: list[str] = []
+        self._path: list[str] = []
+        self._user_agent: list[str] = []
+        self._status: list[int] = []
+        self._by_host: dict[str, list[int]] = {}
+
+    def append(
+        self, time: float, source_ip: int, host: str, path: str, user_agent: str, status: int
+    ) -> None:
+        """Record one served request; ``host`` is indexed as given."""
+        positions = self._by_host.get(host)
+        if positions is None:
+            self._by_host[host] = [len(self._time)]
+        else:
+            positions.append(len(self._time))
+        self._time.append(time)
+        self._source_ip.append(source_ip)
+        self._host.append(host)
+        self._path.append(path)
+        self._user_agent.append(user_agent)
+        self._status.append(status)
+
+    def _columns(self) -> tuple[list, ...]:
+        return (self._time, self._source_ip, self._host, self._path, self._user_agent, self._status)
+
+    @property
+    def entries(self) -> list[AccessLogEntry]:
+        """Every served request, in arrival order."""
+        return list(map(AccessLogEntry, *self._columns()))
 
     def for_host(self, host: str) -> list[AccessLogEntry]:
         """All requests for one ``Host`` value, in arrival order."""
-        indexes = self._by_host.get(host.rstrip(".").lower(), ())
-        return [self.entries[i] for i in indexes]
+        time, sources, hosts, paths, agents, statuses = self._columns()
+        return [
+            AccessLogEntry(time[i], sources[i], hosts[i], paths[i], agents[i], statuses[i])
+            for i in self._by_host.get(host.rstrip(".").lower(), ())
+        ]
 
     def hosts(self) -> Iterator[str]:
         """Every distinct ``Host`` value seen."""
         return iter(self._by_host)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._time)

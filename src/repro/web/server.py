@@ -17,7 +17,7 @@ from typing import Optional, Protocol
 
 from repro.net.clock import SimClock
 from repro.web.content import CONTENT_TYPES, ContentCorpus
-from repro.web.http import AccessLog, AccessLogEntry, HttpRequest, HttpResponse
+from repro.web.http import AccessLog, HttpRequest, HttpResponse
 from repro.dnssim.hijack import HijackPolicy, render_hijack_page
 
 
@@ -75,14 +75,12 @@ class MeasurementWebServer:
         """Serve a request and record it."""
         response = self._route(request)
         self.log.append(
-            AccessLogEntry(
-                time=request.time,
-                source_ip=request.source_ip,
-                host=request.host,
-                path=request.path,
-                user_agent=request.user_agent,
-                status=response.status,
-            )
+            request.time,
+            request.source_ip,
+            request.host,
+            request.path,
+            request.user_agent,
+            response.status,
         )
         return response
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.dnssim.authoritative import AuthoritativeServer, DnsRoot, RecordPolicy
 from repro.dnssim.hijack import HijackPolicy, extract_link_domains, render_hijack_page
-from repro.dnssim.message import DnsQuery, DnsResponse, QueryLog, QueryLogEntry, RCode
+from repro.dnssim.message import DnsQuery, DnsResponse, QueryLog, RCode
 from repro.dnssim.resolver import GooglePublicDns, RecursiveResolver
 from repro.net.clock import SimClock
 from repro.net.ip import str_to_ip
@@ -38,10 +38,8 @@ class TestDnsMessages:
     def test_query_log_index(self):
         log = QueryLog()
         for index in range(5):
-            log.append(
-                QueryLogEntry(time=float(index), qname=f"n{index % 2}.example",
-                              source_ip=index, rcode=RCode.NOERROR)
-            )
+            log.append(time=float(index), qname=f"n{index % 2}.example",
+                       source_ip=index, rcode=RCode.NOERROR)
         assert log.sources_for_name("n0.example") == [0, 2, 4]
         assert log.sources_for_name("N1.EXAMPLE") == [1, 3]
         assert log.sources_for_name("missing.example") == []
@@ -74,6 +72,28 @@ class TestAuthoritativeServer:
         server.register_a("d2.zone.example", 42, allow_source=lambda ip: ip == allowed)
         assert server.query(DnsQuery("d2.zone.example", source_ip=allowed)).addresses == (42,)
         assert server.query(DnsQuery("d2.zone.example", source_ip=allowed + 1)).is_nxdomain
+
+    def test_names_that_answer_alike_share_one_policy(self):
+        server = self.make()
+        egress = GooglePublicDns.is_superproxy_egress
+        inside, outside = str_to_ip("74.125.0.10"), str_to_ip("10.0.0.1")
+        for probe in (1, 2):
+            server.register_a(f"d1-{probe}.zone.example", 42)
+            server.register_a(f"d2-{probe}.zone.example", 42, allow_source=egress)
+        server.register_a("other.zone.example", 43)
+        policies = server._records
+        assert policies["d1-1.zone.example"] is policies["d1-2.zone.example"]
+        assert policies["d2-1.zone.example"] is policies["d2-2.zone.example"]
+        assert policies["d1-1.zone.example"] is not policies["d2-1.zone.example"]
+        assert policies["other.zone.example"] is not policies["d1-1.zone.example"]
+        for probe in (1, 2):
+            for source in (inside, outside):
+                d1 = server.query(DnsQuery(f"d1-{probe}.zone.example", source_ip=source))
+                assert d1.addresses == (42,)
+            d2 = f"d2-{probe}.zone.example"
+            assert server.query(DnsQuery(d2, source_ip=inside)).addresses == (42,)
+            assert server.query(DnsQuery(d2, source_ip=outside)).is_nxdomain
+        assert server.query(DnsQuery("other.zone.example", source_ip=inside)).addresses == (43,)
 
     def test_zone_default_covers_unregistered(self):
         server = self.make()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -103,8 +104,14 @@ class TestGoldenFiles:
             (lambda lines: lines[:1] + ["[1, 2]\n"] + lines[1:], 2, "not a JSON object"),
             (lambda lines: lines[:4] + [lines[4].replace(',"ts":', ',"stamp":')] + lines[5:],
              5, "event has no 'ts' field"),
+            # A stamp that is not a number could not be encoded back as JSON.
+            (lambda lines: lines[:3] + [re.sub(r'"ts":[^,}]+', '"ts":"soon"', lines[3])]
+             + lines[4:], 4, "event ts 'soon' is not a number"),
+            (lambda lines: lines[:3] + [re.sub(r'"ts":[^,}]+', '"ts":true', lines[3])]
+             + lines[4:], 4, "event ts True is not a number"),
         ],
-        ids=["seq-gap", "shard-backwards", "not-json", "not-an-object", "no-ts"],
+        ids=["seq-gap", "shard-backwards", "not-json", "not-an-object", "no-ts",
+             "text-ts", "bool-ts"],
     )
     def test_parser_rejects_malformed_lines(self, edit, lineno, message):
         lines = edit(build_fixture_trace().to_jsonl().splitlines(keepends=True))
@@ -183,6 +190,31 @@ class TestTraceCli:
         assert captured.err == "trace: line 4: shard 0 event has seq 4, expected 3\n"
         # No export, complete or partial, is left behind.
         assert [path.name for path in tmp_path.iterdir()] == ["trace.jsonl"]
+
+    @pytest.mark.parametrize("command", ["summarize", "export"])
+    def test_non_numeric_ts_fails_in_one_line(self, tmp_path, capsys, command):
+        src = tmp_path / "trace.jsonl"
+        src.write_text('{"name":"x","seq":0,"shard":0,"ts":"soon"}\n', encoding="utf-8")
+        argv = ["trace", command, str(src)]
+        if command == "export":
+            argv += ["--format", "jsonl"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "trace: line 1: event ts 'soon' is not a number\n"
+
+    @pytest.mark.parametrize("command", ["summarize", "export"])
+    def test_missing_file_fails_in_one_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "nosuch.jsonl"
+        argv = ["trace", command, str(missing)]
+        if command == "export":
+            argv += ["--format", "jsonl", "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("trace: ") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from repro.web.content import (
     make_js,
     _pad_to,
 )
-from repro.web.http import AccessLog, AccessLogEntry, HttpRequest, HttpResponse
+from repro.web.http import AccessLog, HttpRequest, HttpResponse
 from repro.web.jpeg import (
     HEADER_LEN,
     JpegFormatError,
@@ -74,27 +74,25 @@ class TestHttpMessages:
 
 
 class TestAccessLog:
-    def entry(self, host, time=0.0, source=1):
-        return AccessLogEntry(
-            time=time, source_ip=source, host=host, path="/", user_agent="ua", status=200
-        )
+    def fields(self, host, time=0.0, source=1):
+        return dict(time=time, source_ip=source, host=host, path="/", user_agent="ua", status=200)
 
     def test_for_host_in_order(self):
         log = AccessLog()
-        log.append(self.entry("a.example", 1.0))
-        log.append(self.entry("b.example", 2.0))
-        log.append(self.entry("a.example", 3.0))
+        log.append(**self.fields("a.example", 1.0))
+        log.append(**self.fields("b.example", 2.0))
+        log.append(**self.fields("a.example", 3.0))
         assert [e.time for e in log.for_host("a.example")] == [1.0, 3.0]
 
     def test_for_host_normalizes(self):
         log = AccessLog()
-        log.append(self.entry("a.example"))
+        log.append(**self.fields("a.example"))
         assert len(log.for_host("A.EXAMPLE.")) == 1
 
     def test_hosts_iteration(self):
         log = AccessLog()
-        log.append(self.entry("a.example"))
-        log.append(self.entry("b.example"))
+        log.append(**self.fields("a.example"))
+        log.append(**self.fields("b.example"))
         assert set(log.hosts()) == {"a.example", "b.example"}
 
 
